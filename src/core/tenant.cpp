@@ -25,10 +25,14 @@ TenantScheduler::TenantScheduler(sim::Node& node,
 }
 
 TenantAccount& TenantScheduler::account(const sim::Process& owner) {
-  auto [it, inserted] = accounts_.try_emplace(owner.pid());
+  const std::uint32_t pid = owner.pid();
+  if (pid < by_pid_.size() && by_pid_[pid] != nullptr) return *by_pid_[pid];
+  auto [it, inserted] = accounts_.try_emplace(pid);
   TenantAccount& acct = it->second;
+  if (pid >= by_pid_.size()) by_pid_.resize(std::size_t{pid} + 1, nullptr);
+  by_pid_[pid] = &acct;
   if (inserted) {
-    acct.pid = owner.pid();
+    acct.pid = pid;
     acct.name = owner.name();
     acct.weight = cfg_.default_weight;
     // A new account starts with one full round banked so a tenant's very
@@ -42,8 +46,7 @@ TenantAccount& TenantScheduler::account(const sim::Process& owner) {
 
 const TenantAccount* TenantScheduler::find_account(
     std::uint32_t pid) const noexcept {
-  const auto it = accounts_.find(pid);
-  return it == accounts_.end() ? nullptr : &it->second;
+  return pid < by_pid_.size() ? by_pid_[pid] : nullptr;
 }
 
 void TenantScheduler::set_tenant(const sim::Process& owner,

@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "net/rx_queue.hpp"
 #include "sim/node.hpp"
@@ -202,6 +203,9 @@ class TenantScheduler : public net::RxQuota {
   TenantSchedulerConfig cfg_;
   // Ordered by pid so reports and iteration are deterministic.
   std::map<std::uint32_t, TenantAccount> accounts_;
+  // Pid-indexed cache of accounts_ (map nodes never move): the per-message
+  // paths look their tenant up without a tree walk. nullptr = no account.
+  std::vector<TenantAccount*> by_pid_;
 };
 
 }  // namespace ash::core

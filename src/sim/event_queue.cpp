@@ -6,33 +6,56 @@
 namespace ash::sim {
 
 EventId EventQueue::schedule_at(Cycles at, EventFn fn) {
-  const EventId id = next_id_++;
   if (at < now_) at = now_;
-  heap_.push_back(Ev{at, id, std::move(fn)});
+  std::uint32_t slot = free_head_;
+  if (slot != kNoSlot) {
+    free_head_ = slots_[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  const std::uint32_t gen = ++s.gen;  // even (free) -> odd (occupied)
+  heap_.push_back(Key{at, next_seq_++, slot, gen});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  live_.insert(id);
-  return id;
+  ++live_;
+  return (EventId{gen} << 32) | slot;
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  ++s.gen;  // odd -> even: the id and its heap key are dead from here on
+  s.next_free = free_head_;
+  free_head_ = slot;
+  --live_;
+  // Keep tombstones bounded by the live population: once they outnumber
+  // live events, one O(n) sweep rebuilds the heap without them.
+  if (cancelled_backlog() > live_) compact();
 }
 
 void EventQueue::cancel(EventId id) {
-  if (live_.erase(id) == 0) return;  // fired, cancelled, or never issued
-  cancelled_.insert(id);
-  // Keep tombstones bounded by the live population: once they outnumber
-  // live events, one O(n) sweep rebuilds the heap without them.
-  if (cancelled_.size() > live_.size()) compact();
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto gen = static_cast<std::uint32_t>(id >> 32);
+  // Fired, cancelled, never issued, or a stale id for a reused slot.
+  if (slot >= slots_.size() || slots_[slot].gen != gen || (gen & 1u) == 0) {
+    return;
+  }
+  EventFn fn;
+  fn.swap(slots_[slot].fn);
+  release(slot);
+  // `fn` is destroyed here, once the queue is consistent again: a capture's
+  // destructor may itself schedule or cancel.
 }
 
 void EventQueue::compact() {
-  std::erase_if(heap_, [this](const Ev& e) {
-    return cancelled_.find(e.id) != cancelled_.end();
-  });
+  std::erase_if(heap_, [this](const Key& k) { return dead(k); });
   std::make_heap(heap_.begin(), heap_.end(), Later{});
-  cancelled_.clear();
 }
 
 Cycles EventQueue::next_time() {
   while (!heap_.empty()) {
-    if (cancelled_.erase(heap_.front().id) == 0) return heap_.front().at;
+    if (!dead(heap_.front())) return heap_.front().at;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
@@ -42,12 +65,16 @@ Cycles EventQueue::next_time() {
 bool EventQueue::step() {
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Ev ev = std::move(heap_.back());
+    const Key k = heap_.back();
     heap_.pop_back();
-    if (cancelled_.erase(ev.id) > 0) continue;
-    live_.erase(ev.id);
-    now_ = ev.at;
-    ev.fn();
+    if (dead(k)) continue;  // tombstone of a cancelled event
+    // Move the callback out and free its slot before running it: it may
+    // schedule (growing slots_) or cancel, including its own id.
+    EventFn fn;
+    fn.swap(slots_[k.slot].fn);
+    release(k.slot);
+    now_ = k.at;
+    fn();
     return true;
   }
   return false;

@@ -43,8 +43,8 @@ class Kernel {
   /// Number of processes that have not exited.
   std::size_t live_processes() const noexcept;
 
-  /// Record a failure escaping a process coroutine; Simulator::run
-  /// rethrows it.
+  /// Record a failure escaping a process coroutine and flag the
+  /// Simulator; Simulator::run rethrows it.
   void record_failure(std::exception_ptr e);
   std::exception_ptr take_failure() noexcept;
 

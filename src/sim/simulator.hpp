@@ -37,12 +37,17 @@ class Simulator {
   /// Returns the number of events executed.
   std::size_t run(Cycles limit = ~Cycles{0});
 
+  /// Called by Kernel::record_failure: some node now holds a failure, so
+  /// run() must look for it after the current event.
+  void note_failure() noexcept { failure_pending_ = true; }
+
  private:
   void check_failures();
 
   EventQueue queue_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::uint16_t next_cpu_id_ = 0;
+  bool failure_pending_ = false;  // some node may hold a failure
 };
 
 }  // namespace ash::sim

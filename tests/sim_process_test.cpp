@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/kernel.hpp"
 #include "sim/memops.hpp"
 #include "sim/process.hpp"
@@ -185,6 +188,70 @@ TEST(Process, ExceptionsPropagateToSimulatorRun) {
     throw std::runtime_error("boom");
   });
   EXPECT_THROW(sim.run(), std::runtime_error);
+}
+
+/// The message of the failure the next sim.run() rethrows, or "" if none.
+std::string next_failure(Simulator& sim) {
+  try {
+    sim.run();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Failures that pile up while the queue is driven directly (no failure
+// checks) are each rethrown once by later sim.run() calls, in node order —
+// n0's first although n1 failed earlier. The failure flag must survive the
+// first rethrow, since n1 still holds its failure then.
+TEST(Process, FailuresOnTwoNodesRethrowInNodeOrder) {
+  Simulator sim;
+  Node& n0 = sim.add_node("n0", quiet_config());
+  Node& n1 = sim.add_node("n1", quiet_config());
+  n0.kernel().spawn("t0", [&](Process& self) -> Task {
+    co_await self.compute(20);
+    throw std::runtime_error("n0 boom");
+  });
+  n1.kernel().spawn("t1", [&](Process& self) -> Task {
+    co_await self.compute(10);
+    throw std::runtime_error("n1 boom");
+  });
+  for (Cycles t : {100u, 200u, 300u}) sim.queue().schedule_at(t, [] {});
+  sim.queue().run_until_idle(50);  // both throw; nothing checks yet
+
+  EXPECT_EQ(next_failure(sim), "n0 boom");
+  EXPECT_EQ(sim.now(), 100u);
+  EXPECT_EQ(next_failure(sim), "n1 boom");
+  EXPECT_EQ(sim.now(), 200u);
+  EXPECT_EQ(next_failure(sim), "");
+  EXPECT_EQ(sim.now(), 300u);
+  EXPECT_TRUE(sim.queue().empty());
+}
+
+// Failures raised inside sim.run() stop it right after the failing event;
+// the next run picks up where it stopped and rethrows the next one.
+TEST(Process, FailuresDuringRunRethrowOneAtATime) {
+  Simulator sim;
+  Node& n0 = sim.add_node("n0", quiet_config());
+  Node& n1 = sim.add_node("n1", quiet_config());
+  n0.kernel().spawn("t0", [&](Process& self) -> Task {
+    co_await self.compute(10);
+    throw std::runtime_error("n0 boom");
+  });
+  n1.kernel().spawn("t1", [&](Process& self) -> Task {
+    co_await self.compute(20);
+    throw std::runtime_error("n1 boom");
+  });
+  bool late = false;
+  sim.queue().schedule_at(1000, [&] { late = true; });
+
+  EXPECT_EQ(next_failure(sim), "n0 boom");
+  EXPECT_EQ(sim.now(), 10u);
+  EXPECT_EQ(next_failure(sim), "n1 boom");
+  EXPECT_EQ(sim.now(), 20u);
+  EXPECT_FALSE(late);
+  EXPECT_EQ(next_failure(sim), "");
+  EXPECT_TRUE(late);
 }
 
 TEST(Process, KernelWorkDelaysProcessCompute) {
