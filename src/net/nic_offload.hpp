@@ -15,8 +15,8 @@
 //    slow handler run does not head-of-line-block its queue.
 //
 //  * a NIC cost model distinct from the host's — the unit runs the same
-//    verified VCODE (all three backends: interp, CodeCache, JIT), so the
-//    handler's simulated execution cycles come from the one shared cycle
+//    verified VCODE on either backend (interp or JIT), so the handler's
+//    simulated execution cycles come from the one shared cycle
 //    model; the NIC then charges those cycles scaled by its clock ratio,
 //    plus a per-message dispatch overhead. What the device does NOT pay
 //    is the host's per-message kernel overhead: no interrupt entry, no

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "vcode/codecache.hpp"
+#include "vcode/interp.hpp"
 #include "vcode/verifier.hpp"
 
 namespace ash::sandbox {

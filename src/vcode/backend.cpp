@@ -9,7 +9,6 @@ namespace ash::vcode {
 const char* to_string(Backend b) noexcept {
   switch (b) {
     case Backend::Interp: return "interp";
-    case Backend::CodeCache: return "codecache";
     case Backend::Jit: return "jit";
   }
   return "?";
@@ -24,10 +23,6 @@ bool backend_env_override(Backend* out) {
   }
   if (s == "interp" || s == "interpreter" || s == "off") {
     *out = Backend::Interp;
-    return true;
-  }
-  if (s == "codecache" || s == "cache") {
-    *out = Backend::CodeCache;
     return true;
   }
   if (s == "jit") {

@@ -106,7 +106,63 @@ std::int64_t JumpTable::lookup_sparse(std::uint32_t t) const noexcept {
   return static_cast<std::int64_t>(it->second);
 }
 
+std::uint32_t count_basic_blocks(const Program& prog) {
+  const auto leader =
+      detail::block_leaders(prog, /*split_at_cond_branch=*/true);
+  std::uint32_t count = 0;
+  for (std::size_t i = 0; i + 1 < leader.size(); ++i) count += leader[i];
+  return count;
+}
+
 namespace detail {
+
+std::vector<std::uint8_t> block_leaders(const Program& prog,
+                                        bool split_at_cond_branch) {
+  const auto n = static_cast<std::uint32_t>(prog.insns.size());
+  std::vector<std::uint8_t> leader(static_cast<std::size_t>(n) + 1, 0);
+  if (n == 0) return leader;
+  leader[0] = 1;
+  bool any_jr = false;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    switch (prog.insns[i].op) {
+      case Op::Jmp:
+      case Op::Call:
+        if (prog.insns[i].imm < n) leader[prog.insns[i].imm] = 1;
+        if (i + 1 < n) leader[i + 1] = 1;
+        break;
+      case Op::Beq:
+      case Op::Bne:
+      case Op::Bltu:
+      case Op::Bgeu:
+      case Op::Blt:
+      case Op::Bge:
+        if (prog.insns[i].imm < n) leader[prog.insns[i].imm] = 1;
+        if (split_at_cond_branch && i + 1 < n) leader[i + 1] = 1;
+        break;
+      case Op::Jr:
+        any_jr = true;
+        [[fallthrough]];
+      case Op::JrChk:
+      case Op::Ret:
+      case Op::Halt:
+      case Op::Abort:
+        if (i + 1 < n) leader[i + 1] = 1;
+        break;
+      default:
+        break;
+    }
+  }
+  auto mark = [&](std::uint32_t v) {
+    if (v < n) leader[v] = 1;
+  };
+  if (!prog.indirect_map.empty()) {
+    for (const auto& [k, v] : prog.indirect_map) mark(v);
+  } else {
+    for (std::uint32_t tgt : prog.indirect_targets) mark(tgt);
+  }
+  if (any_jr) std::fill(leader.begin(), leader.begin() + n, 1);
+  return leader;
+}
 
 ExecResult run_core(const Program& prog, Env& env, std::uint32_t* regs,
                     const ExecLimits& limits, const JumpTable& jt,

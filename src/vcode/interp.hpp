@@ -146,7 +146,7 @@ class Env {
 };
 
 /// O(1) indirect-jump target lookup, shared by the interpreter and the
-/// download-time code cache. Built once per program from `indirect_map`
+/// download-time JIT. Built once per program from `indirect_map`
 /// (sandboxed: pre-sandbox address -> rewritten index) or from
 /// `indirect_targets` (unsandboxed: identity mapping). A program with
 /// neither has no legal indirect targets, so every JrChk faults.
@@ -174,10 +174,26 @@ class JumpTable {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> sparse_;
 };
 
+/// Number of basic blocks in `prog` (used by the sandbox report for
+/// download-time stats).
+std::uint32_t count_basic_blocks(const Program& prog);
+
 namespace detail {
 
+/// Leader analysis over `prog`: leader[i] = 1 iff index i begins a block
+/// (size n+1; leader[n] is always 0). Every unconditional control transfer
+/// ends its block, and every branch/jump/call target, call return site and
+/// translated indirect-jump target begins one, so any dynamic control
+/// transfer lands on a block head. The fall-through successor of a
+/// conditional branch is a leader only when `split_at_cond_branch` (basic
+/// blocks); without it the block continues through (the JIT's
+/// superblocks). An unchecked Jr, which may land anywhere, makes every
+/// index a leader.
+std::vector<std::uint8_t> block_leaders(const Program& prog,
+                                        bool split_at_cond_branch);
+
 /// Non-result execution state (pc, software budget, call stack), exposed so
-/// the code cache can hand a partially executed program back to the exact
+/// the JIT can hand a partially executed program back to the exact
 /// interpreter core mid-run with bit-identical continuation semantics.
 /// Call-stack entries are original instruction indices.
 struct ResumeState {

@@ -11,8 +11,9 @@
 
 namespace ash::vcode {
 
-// Everything the dispatch loop touches during a run. Flat, like the
-// CodeCache's RunCtx, so the hot state stays in host registers.
+// Everything the dispatch loop touches during a run. Kept flat (raw
+// pointers, no indirection through the backend object) so the hot state
+// stays in host registers.
 struct JitBackend::RunCtx {
   std::uint32_t* regs = nullptr;
   Env* env = nullptr;
@@ -57,16 +58,17 @@ std::uint32_t as_bits(float f) noexcept {
   return bits;
 }
 
-/// [addr, addr+len) fully inside [lo, hi)? Same no-overflow form as the
-/// CodeCache; also exact for the multi-word ranges of the fused loop.
+/// [addr, addr+len) fully inside [lo, hi)? No-overflow form, also exact
+/// for the multi-word ranges of the fused loop.
 inline bool in_window(std::uint32_t addr, std::uint32_t len, std::uint32_t lo,
                       std::uint32_t hi) {
   return addr >= lo && addr < hi && hi - addr >= len;
 }
 
 /// Inlined direct-mapped cache model (sim::Cache::access semantics),
-/// bit-identical to the CodeCache's copy: read miss = penalty + tag fill;
-/// write = write_cost hit or miss, never a fill; counters per line.
+/// bit-identical to the interpreter's mem_cycles path: read miss =
+/// penalty + tag fill; write = write_cost hit or miss, never a fill;
+/// counters per line.
 inline std::uint64_t fm_cycles(const Env::FastMem& fm, std::uint32_t addr,
                                std::uint32_t len, bool is_write) {
   std::uint64_t extra = 0;
@@ -633,59 +635,6 @@ std::uint32_t jbase_cost(Op op) {
   return valid_op(static_cast<std::uint8_t>(op)) ? op_info(op).base_cycles : 0;
 }
 
-/// leader[i] = 1 iff original index i begins a superblock. Identical to
-/// the CodeCache's basic-block leaders except that the fall-through
-/// successor of a *conditional* branch is not a leader — the superblock
-/// continues through it. Unconditional transfers still end the region,
-/// and every branch/jump/call target, call return site, and translated
-/// indirect target begins one. An unchecked Jr degenerates to
-/// every-index-is-a-leader, exactly like the CodeCache.
-std::vector<std::uint8_t> superblock_leaders(const Program& prog) {
-  const auto n = static_cast<std::uint32_t>(prog.insns.size());
-  std::vector<std::uint8_t> leader(static_cast<std::size_t>(n) + 1, 0);
-  if (n == 0) return leader;
-  leader[0] = 1;
-  bool any_jr = false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    switch (prog.insns[i].op) {
-      case Op::Jmp:
-      case Op::Call:
-        if (prog.insns[i].imm < n) leader[prog.insns[i].imm] = 1;
-        if (i + 1 < n) leader[i + 1] = 1;
-        break;
-      case Op::Beq:
-      case Op::Bne:
-      case Op::Bltu:
-      case Op::Bgeu:
-      case Op::Blt:
-      case Op::Bge:
-        if (prog.insns[i].imm < n) leader[prog.insns[i].imm] = 1;
-        break;
-      case Op::Jr:
-        any_jr = true;
-        [[fallthrough]];
-      case Op::JrChk:
-      case Op::Ret:
-      case Op::Halt:
-      case Op::Abort:
-        if (i + 1 < n) leader[i + 1] = 1;
-        break;
-      default:
-        break;
-    }
-  }
-  auto mark = [&](std::uint32_t v) {
-    if (v < n) leader[v] = 1;
-  };
-  if (!prog.indirect_map.empty()) {
-    for (const auto& [k, v] : prog.indirect_map) mark(v);
-  } else {
-    for (std::uint32_t tgt : prog.indirect_targets) mark(tgt);
-  }
-  if (any_jr) std::fill(leader.begin(), leader.begin() + n, 1);
-  return leader;
-}
-
 /// Ops a fused-loop body may contain: register-pure and non-faulting.
 bool body_op_ok(Op op) {
   switch (op) {
@@ -871,7 +820,8 @@ JitBackend::JitBackend(const Program& prog) : prog_(prog), jt_(prog_) {
 
 void JitBackend::build() {
   const auto n = static_cast<std::uint32_t>(prog_.insns.size());
-  const auto leader = superblock_leaders(prog_);
+  const auto leader =
+      detail::block_leaders(prog_, /*split_at_cond_branch=*/false);
 
   struct Fixup {
     std::size_t slot;

@@ -189,8 +189,9 @@ TEST(AshBatch, BatchChargesOneEntryAndClearPlusPerMessageRearm) {
   const AshStats& s = w.ash_b->stats(w.ash_id);
   ASSERT_EQ(s.commits, 4u);
 
+  const std::vector<trace::Event> events = trace::global().all_events();
   const trace::Event* batch = nullptr;
-  for (const auto& ev : trace::global().all_events()) {
+  for (const auto& ev : events) {
     if (ev.type == trace::EventType::BatchDispatch) {
       ASSERT_EQ(batch, nullptr) << "expected exactly one batch";
       batch = &ev;

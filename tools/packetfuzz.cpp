@@ -595,7 +595,6 @@ void fuzz_rules(std::uint64_t iters, std::uint64_t seed) {
     }
 
     const ash::vcode::Backend backends[] = {ash::vcode::Backend::Interp,
-                                            ash::vcode::Backend::CodeCache,
                                             ash::vcode::Backend::Jit};
     for (const auto be : backends) {
       const RuleLeg leg = run_rule_leg(rs, frames, be);
