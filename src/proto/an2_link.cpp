@@ -1,9 +1,9 @@
 #include "proto/an2_link.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
+#include "sim/memops.hpp"
 #include "sim/node.hpp"
 
 namespace ash::proto {
@@ -106,13 +106,8 @@ sim::Sub<bool> An2Link::send_bytes(std::span<const std::uint8_t> bytes) {
   std::uint8_t* p = self_.node().mem(addr, len);
   std::memcpy(p, bytes.data(), bytes.size());
   // Charge the staging stores (one copy loop's store half).
-  sim::Cycles cycles = 0;
-  sim::Node& node = self_.node();
-  for (std::uint32_t off = 0; off < len; off += 4) {
-    cycles += node.cost().copy_loop_insns_per_word;
-    cycles += node.dcache().access(addr + off, std::min(4u, len - off), true);
-  }
-  co_await self_.compute(cycles);
+  co_await self_.compute(
+      sim::memops::stage_store_cycles(self_.node(), addr, len));
   const bool sent = co_await send(addr, len);
   co_return sent;
 }

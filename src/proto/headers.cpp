@@ -153,8 +153,20 @@ std::uint16_t transport_checksum(Ipv4Addr src, Ipv4Addr dst,
                                  std::span<const std::uint8_t> segment) {
   std::uint32_t acc = pseudo_header_sum(
       src, dst, protocol, static_cast<std::uint16_t>(segment.size()));
-  acc = util::cksum_partial(segment, acc);
-  const std::uint16_t ck = static_cast<std::uint16_t>(~util::fold16(acc));
+  return checksum_field(util::cksum_partial(segment, acc));
+}
+
+std::uint32_t transport_sum_le(Ipv4Addr src, Ipv4Addr dst,
+                               std::uint8_t protocol,
+                               std::uint16_t transport_len,
+                               std::uint32_t le_word_sum) {
+  return util::cksum32_accumulate(
+      pseudo_header_sum(src, dst, protocol, transport_len),
+      util::fold16_le_word_sum(le_word_sum));
+}
+
+std::uint16_t checksum_field(std::uint32_t sum) {
+  const std::uint16_t ck = static_cast<std::uint16_t>(~util::fold16(sum));
   return ck == 0 ? 0xffff : ck;  // 0 is reserved for "no checksum" (UDP)
 }
 

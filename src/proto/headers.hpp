@@ -88,6 +88,19 @@ std::uint16_t transport_checksum(Ipv4Addr src, Ipv4Addr dst,
                                  std::uint8_t protocol,
                                  std::span<const std::uint8_t> segment);
 
+/// Pseudo-header + segment sum (unfolded, Internet byte order) from the
+/// segment's little-endian word sum, as sim::memops::cksum accumulates it
+/// from 0 — so a charged checksum pass needs no second host pass.
+/// fold16 of it is 0xffff for an intact segment.
+std::uint32_t transport_sum_le(Ipv4Addr src, Ipv4Addr dst,
+                               std::uint8_t protocol,
+                               std::uint16_t transport_len,
+                               std::uint32_t le_word_sum);
+
+/// The checksum field value for a segment summing to `sum` (its checksum
+/// field zero): the ones' complement of the folded sum, 0 sent as 0xffff.
+std::uint16_t checksum_field(std::uint32_t sum);
+
 // ---------------------------------------------------------------- TCP
 
 struct TcpFlags {

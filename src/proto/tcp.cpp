@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/memops.hpp"
 #include "sim/node.hpp"
 #include "util/byteorder.hpp"
 #include "util/checksum.hpp"
@@ -115,11 +116,7 @@ sim::Sub<bool> TcpConnection::send_segment(
   if (plen > 0) {
     std::memcpy(p + kSegHdrLen, payload.data(), plen);
     // Staging-copy cost (app buffer -> packet): loop + cache traffic.
-    for (std::uint32_t off = 0; off < plen; off += 4) {
-      cycles += node.cost().copy_loop_insns_per_word;
-      cycles += node.dcache().access(pkt + kSegHdrLen + off,
-                                     std::min(4u, plen - off), true);
-    }
+    cycles += sim::memops::stage_store_cycles(node, pkt + kSegHdrLen, plen);
   }
 
   TcpHeader tcp;
@@ -135,13 +132,13 @@ sim::Sub<bool> TcpConnection::send_segment(
   last_advertised_wnd_ = advertised_window();
 
   if (cfg_.checksum) {
-    std::uint32_t dummy = 0;
+    std::uint32_t sum = 0;
     cycles += node.cost().udp_cksum_setup;
     cycles += sim::memops::cksum(node, pkt + kIpHeaderLen,
-                                 kTcpHeaderLen + plen, &dummy);
-    tcp.checksum = transport_checksum(
+                                 kTcpHeaderLen + plen, &sum);
+    tcp.checksum = checksum_field(transport_sum_le(
         cfg_.local_ip, cfg_.remote_ip, kIpProtoTcp,
-        {p + kIpHeaderLen, kTcpHeaderLen + plen});
+        static_cast<std::uint16_t>(kTcpHeaderLen + plen), sum));
     encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
   }
 
@@ -474,11 +471,13 @@ void TcpConnection::drain_ooo(sim::Cycles* cycles) {
                   len - first);
     }
     if (!cfg_.in_place) {
-      for (std::uint32_t off = 0; off < len; off += 4) {
-        *cycles += node.cost().copy_loop_insns_per_word;
-        *cycles += node.dcache().access(base + ((wr + off) % cap),
-                                        std::min(4u, len - off), true);
-      }
+      // The store loop walks offsets wr+off modulo the ring; the words
+      // from the first one whose offset wraps restart at the ring base.
+      const std::uint32_t unwrapped =
+          std::min(len, (cap - wr + 3) / 4 * 4);
+      *cycles += sim::memops::stage_store_cycles(node, base + wr, unwrapped);
+      *cycles += sim::memops::stage_store_cycles(
+          node, base + wr + unwrapped - cap, len - unwrapped);
     }
     shm_.set(tcb::kStageWr, (wr + len) % cap);
     shm_.set(tcb::kStageUsed, u + len);
@@ -527,16 +526,15 @@ sim::Sub<void> TcpConnection::process_packet(const net::RxDesc& d) {
                                     : node.cost().tcp_slowpath_overhead);
 
   if (cfg_.checksum) {
-    std::uint32_t dummy = 0;
+    std::uint32_t sum = 0;
     const sim::Cycles ck =
         node.cost().udp_cksum_setup +
         sim::memops::cksum(node, d.addr + ip_off + kIpHeaderLen, seg_len,
-                           &dummy);
+                           &sum);
     co_await link_.self().compute(ck);
-    std::uint32_t acc = pseudo_header_sum(
-        ip->src, ip->dst, kIpProtoTcp, static_cast<std::uint16_t>(seg_len));
-    acc = util::cksum_partial({p + kIpHeaderLen, seg_len}, acc);
-    if (util::fold16(acc) != 0xffff) {
+    if (util::fold16(transport_sum_le(
+            ip->src, ip->dst, kIpProtoTcp,
+            static_cast<std::uint16_t>(seg_len), sum)) != 0xffff) {
       ++stats_.cksum_failures;
       link_.release(d);
       co_return;

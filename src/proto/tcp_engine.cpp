@@ -331,14 +331,13 @@ void TcpEngine::process_frame(const net::RxDesc& d, sim::Cycles* cycles) {
 
   *cycles += node.cost().tcp_slowpath_overhead;
   if (cfg_.checksum) {
-    std::uint32_t dummy = 0;
+    std::uint32_t sum = 0;
     *cycles += node.cost().udp_cksum_setup;
     *cycles += sim::memops::cksum(node, d.addr + ip_off + kIpHeaderLen,
-                                  seg_len, &dummy);
-    std::uint32_t acc = pseudo_header_sum(
-        ip->src, ip->dst, kIpProtoTcp, static_cast<std::uint16_t>(seg_len));
-    acc = util::cksum_partial({p + kIpHeaderLen, seg_len}, acc);
-    if (util::fold16(acc) != 0xffff) {
+                                  seg_len, &sum);
+    if (util::fold16(transport_sum_le(
+            ip->src, ip->dst, kIpProtoTcp,
+            static_cast<std::uint16_t>(seg_len), sum)) != 0xffff) {
       ++stats_.cksum_failures;
       return;
     }
@@ -704,11 +703,7 @@ sim::Sub<bool> TcpEngine::send_flow(Tcb& t, TcpFlags flags,
                            : node.cost().tcp_ack_overhead;
   if (plen > 0) {
     std::memcpy(p + kSegHdrLen, payload.data(), plen);
-    for (std::uint32_t off = 0; off < plen; off += 4) {
-      cycles += node.cost().copy_loop_insns_per_word;
-      cycles += node.dcache().access(pkt + kSegHdrLen + off,
-                                     std::min(4u, plen - off), true);
-    }
+    cycles += sim::memops::stage_store_cycles(node, pkt + kSegHdrLen, plen);
   }
 
   TcpHeader tcp;
@@ -724,13 +719,13 @@ sim::Sub<bool> TcpEngine::send_flow(Tcb& t, TcpFlags flags,
   t.last_adv_wnd = adv_window(t);
 
   if (cfg_.checksum) {
-    std::uint32_t dummy = 0;
+    std::uint32_t sum = 0;
     cycles += node.cost().udp_cksum_setup;
     cycles += sim::memops::cksum(node, pkt + kIpHeaderLen,
-                                 kTcpHeaderLen + plen, &dummy);
-    tcp.checksum = transport_checksum(
+                                 kTcpHeaderLen + plen, &sum);
+    tcp.checksum = checksum_field(transport_sum_le(
         cfg_.local_ip, t.key.remote_ip, kIpProtoTcp,
-        {p + kIpHeaderLen, kTcpHeaderLen + plen});
+        static_cast<std::uint16_t>(kTcpHeaderLen + plen), sum));
     encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
   }
 

@@ -120,21 +120,18 @@ sim::Sub<UdpSocket::Datagram> UdpSocket::recv_in_place() {
       // Verify over the UDP segment (header + payload), a separate pass.
       // With the transmitted checksum field in place, the ones'-complement
       // sum over pseudo-header + segment folds to 0xffff when intact.
-      std::uint32_t dummy = 0;
+      std::uint32_t sum = 0;
       const std::uint32_t seg = d.addr + link_.rx_ip_offset() + kIpHeaderLen;
       const std::uint32_t seg_len = kUdpHeaderLen + dg->payload_len;
       const sim::Cycles ck_cycles =
           node.cost().udp_cksum_setup +
-          sim::memops::cksum(node, seg, seg_len, &dummy);
+          sim::memops::cksum(node, seg, seg_len, &sum);
       co_await link_.self().compute(ck_cycles);
-      const std::uint8_t* p = node.mem(seg, seg_len);
-      const std::uint16_t got = util::load_be16(p + 6);
+      const std::uint16_t got = util::load_be16(node.mem(seg, seg_len) + 6);
       if (got != 0) {  // 0 = sender did not checksum (RFC 768)
-        std::uint32_t acc = pseudo_header_sum(
-            opt_.remote_ip, opt_.local_ip, kIpProtoUdp,
-            static_cast<std::uint16_t>(seg_len));
-        acc = util::cksum_partial({p, seg_len}, acc);
-        if (util::fold16(acc) != 0xffff) {
+        if (util::fold16(transport_sum_le(
+                opt_.remote_ip, opt_.local_ip, kIpProtoUdp,
+                static_cast<std::uint16_t>(seg_len), sum)) != 0xffff) {
           ++cksum_fail_;
           link_.release(d);
           continue;

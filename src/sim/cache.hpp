@@ -6,6 +6,9 @@
 // processing is precisely the cache/memory traffic avoided. This model
 // charges a line-fill penalty on read misses and tracks tags so those
 // effects emerge from the simulation rather than being hard-coded.
+//
+// Geometry is a power of two in both line size and line count (the
+// constructor rejects anything else), so indexing is shift/mask.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +31,8 @@ struct CacheConfig {
 
 class Cache {
  public:
+  /// Throws std::invalid_argument unless `line_bytes` and the line count
+  /// `size_bytes / line_bytes` are both powers of two.
   explicit Cache(const CacheConfig& config = {});
 
   /// Account one access of `len` bytes at `addr`; returns the extra cycles
@@ -35,6 +40,20 @@ class Cache {
   /// write-through/no-allocate (they update an already-present line but
   /// do not fetch absent ones).
   Cycles access(std::uint32_t addr, std::uint32_t len, bool is_write);
+
+  /// Account a whole word loop over [src, src+len) and [dst, dst+len).
+  /// Exactly equivalent (cycles, counters, tags) to
+  ///   for (off = 0; off < len; off += 4) {
+  ///     n = min(4, len - off);
+  ///     if (reads)  access(src + off, n, false);
+  ///     if (writes) access(dst + off, n, true);
+  ///   }
+  /// but charged once per run of words that keep both streams inside one
+  /// line: only a read miss fills, and it happens at the run's first word,
+  /// so the run's later reads hit; writes never change tags, so each later
+  /// write repeats the first write's outcome.
+  Cycles words(std::uint32_t src, std::uint32_t dst, std::uint32_t len,
+               bool reads, bool writes);
 
   /// True if the line containing `addr` is resident.
   bool contains(std::uint32_t addr) const;
@@ -75,15 +94,13 @@ class Cache {
   }
 
  private:
-  std::uint32_t line_index(std::uint32_t addr) const noexcept {
-    return (addr / config_.line_bytes) % n_lines_;
-  }
-  std::uint32_t line_tag(std::uint32_t addr) const noexcept {
-    return addr / config_.line_bytes;
-  }
+  /// One access to the single line `line`; `*hit` reports its outcome.
+  Cycles line_access(std::uint32_t line, bool is_write, bool* hit) noexcept;
 
   CacheConfig config_;
   std::uint32_t n_lines_;
+  std::uint32_t line_shift_;  // log2(line_bytes)
+  std::uint32_t index_mask_;  // n_lines - 1
   std::vector<std::uint32_t> tags_;  // tag+1; 0 = invalid
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

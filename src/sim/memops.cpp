@@ -11,9 +11,9 @@ namespace ash::sim::memops {
 namespace {
 
 /// Charge `insns_per_word` base cycles per 32-bit word plus the cache
-/// costs of the described accesses, while running `word_fn` over the
-/// buffers. One generic walker keeps the cost accounting and the byte
-/// operations in lock step.
+/// costs of the described word loop (one Cache::words call), and run
+/// `word_fn` over the buffers word by word. One generic walker keeps the
+/// cost accounting and the byte operations describing the same loop.
 template <typename WordFn>
 Cycles walk(Node& node, std::uint32_t src, std::uint32_t dst,
             std::uint32_t len, std::uint32_t insns_per_word, bool reads_src,
@@ -25,22 +25,13 @@ Cycles walk(Node& node, std::uint32_t src, std::uint32_t dst,
   if (writes_dst && node.mem(dst, len) == nullptr) {
     throw std::out_of_range("memops: destination out of bounds");
   }
-  Cycles cycles = 0;
-  Cache& cache = node.dcache();
+  // The byte-serial tail is charged as one word.
+  const Cycles cycles =
+      static_cast<Cycles>(insns_per_word) * ((Cycles{len} + 3) / 4) +
+      node.dcache().words(src, dst, len, reads_src, writes_dst);
   std::uint32_t off = 0;
-  for (; off + 4 <= len; off += 4) {
-    cycles += insns_per_word;
-    if (reads_src) cycles += cache.access(src + off, 4, /*is_write=*/false);
-    if (writes_dst) cycles += cache.access(dst + off, 4, /*is_write=*/true);
-    word_fn(off, 4u);
-  }
-  if (off < len) {
-    const std::uint32_t tail = len - off;
-    cycles += insns_per_word;  // byte-serial tail, charged as one word
-    if (reads_src) cycles += cache.access(src + off, tail, false);
-    if (writes_dst) cycles += cache.access(dst + off, tail, true);
-    word_fn(off, tail);
-  }
+  for (; off + 4 <= len; off += 4) word_fn(off, 4u);
+  if (off < len) word_fn(off, len - off);
   return cycles;
 }
 
@@ -120,6 +111,13 @@ Cycles fill(Node& node, std::uint32_t addr, std::uint32_t len,
               false, true, [&](std::uint32_t off, std::uint32_t n) {
                 std::memset(p + off, value, n);
               });
+}
+
+Cycles stage_store_cycles(Node& node, std::uint32_t addr,
+                          std::uint32_t len) {
+  return static_cast<Cycles>(node.cost().copy_loop_insns_per_word) *
+             ((Cycles{len} + 3) / 4) +
+         node.dcache().words(0, addr, len, false, true);
 }
 
 namespace {

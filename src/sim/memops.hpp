@@ -46,6 +46,12 @@ Cycles copy_cksum_bswap(Node& node, std::uint32_t dst, std::uint32_t src,
 Cycles fill(Node& node, std::uint32_t addr, std::uint32_t len,
             std::uint8_t value);
 
+/// Charge for staging `len` host bytes into node memory at `addr`: a copy
+/// loop's instructions per word plus the cache traffic of its stores (the
+/// loads come from outside the simulated machine). Charges only; the
+/// caller moves the bytes.
+Cycles stage_store_cycles(Node& node, std::uint32_t addr, std::uint32_t len);
+
 /// De-striping copy for the Ethernet DMA quirk (Section III-C): the
 /// device stripes an N-byte packet into a 2N-byte buffer, alternating
 /// `chunk` bytes of data and `chunk` bytes of padding. Reads therefore

@@ -10,15 +10,17 @@
 # below is the full list, and any new un-suffixed number in the output is a
 # pinned field.
 #
-# bench mode: runs a paper bench with no arguments and pins its whole
-# stdout byte for byte, unnormalized. Those benches print simulated time
-# only, so the paper's reproduced numbers cannot drift silently.
+# bench mode: runs a paper bench (with BENCH_ARGS, none by default) and
+# pins its whole stdout byte for byte, unnormalized. Those benches print
+# simulated time only, so the paper's reproduced numbers cannot drift
+# silently; the ones that also time native loops with google-benchmark
+# get `--benchmark_filter=^$` to switch those rows off.
 #
 # Usage (see tools/CMakeLists.txt and bench/CMakeLists.txt):
 #   cmake -DASHTOOL=<path> -DMODE=<mode> -DGOLDEN=<file> -DWORK_DIR=<dir>
 #         [-DRECORD=1] -P run_golden.cmake
-#   cmake -DBENCH=<path> -DGOLDEN=<file> -DWORK_DIR=<dir>
-#         [-DRECORD=1] -P run_golden.cmake
+#   cmake -DBENCH=<path> [-DBENCH_ARGS=<arg;...>] -DGOLDEN=<file>
+#         -DWORK_DIR=<dir> [-DRECORD=1] -P run_golden.cmake
 # Modes: status trace trace-json trace-chrome metrics metrics-json
 #        queues queues-json offload offload-json rules rules-json
 #        dump-translated
@@ -41,7 +43,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 if(DEFINED BENCH)
   execute_process(
-    COMMAND "${BENCH}"
+    COMMAND "${BENCH}" ${BENCH_ARGS}
     WORKING_DIRECTORY "${WORK_DIR}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out)

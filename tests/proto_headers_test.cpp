@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
 #include <vector>
 
+#include "sim/memops.hpp"
+#include "sim/node.hpp"
+#include "sim/simulator.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
 
@@ -139,6 +144,89 @@ TEST(Headers, TransportChecksumVerifies) {
                           static_cast<std::uint16_t>(seg.size()));
   acc = util::cksum_partial(seg, acc);
   EXPECT_NE(util::fold16(acc), 0xffff);
+}
+
+// --------------------------- one charged pass instead of a second host sum
+
+/// What the protocol paths feed transport_sum_le: the accumulator of one
+/// charged memops::cksum pass over the segment in node memory.
+std::uint32_t charged_le_sum(sim::Node& node, std::uint32_t addr,
+                             std::span<const std::uint8_t> seg) {
+  const auto len = static_cast<std::uint32_t>(seg.size());
+  if (len > 0) std::memcpy(node.mem(addr, len), seg.data(), len);
+  std::uint32_t sum = 0;
+  sim::memops::cksum(node, addr, len, &sum);
+  return sum;
+}
+
+struct SegmentCase {
+  std::uint8_t protocol;
+  std::size_t ck_off;  // checksum field offset within the segment
+  std::vector<std::uint8_t> seg;
+};
+
+/// A TCP or UDP segment of random length (odd ones included) whose bytes
+/// are random, all zero or all 0xff, with its checksum field zero.
+SegmentCase random_segment(util::Rng& rng, std::size_t payload_len) {
+  const bool tcp = rng.chance(1, 2);
+  SegmentCase c{tcp ? kIpProtoTcp : kIpProtoUdp, tcp ? 16u : 6u, {}};
+  c.seg.resize((tcp ? kTcpHeaderLen : kUdpHeaderLen) + payload_len);
+  const auto fill = rng.below(3);
+  for (auto& b : c.seg) {
+    b = fill == 0 ? static_cast<std::uint8_t>(rng.next())
+                  : (fill == 1 ? 0x00 : 0xff);
+  }
+  c.seg[c.ck_off] = c.seg[c.ck_off + 1] = 0;
+  return c;
+}
+
+TEST(ChargedChecksum, MatchesTransportChecksumOnRandomSegments) {
+  sim::Simulator s;
+  sim::Node& node = s.add_node("n");
+  util::Rng rng(0xc5);
+  for (int k = 0; k < 3000; ++k) {
+    // Every tenth segment has an empty payload.
+    SegmentCase c = random_segment(rng, k % 10 == 0 ? 0 : rng.below(1500));
+    const Ipv4Addr src{static_cast<std::uint32_t>(rng.next())};
+    const Ipv4Addr dst{static_cast<std::uint32_t>(rng.next())};
+    const auto len = static_cast<std::uint16_t>(c.seg.size());
+    const auto addr = static_cast<std::uint32_t>(0x1000 + rng.below(64));
+
+    const std::uint16_t want = transport_checksum(src, dst, c.protocol, c.seg);
+    const std::uint16_t got = checksum_field(transport_sum_le(
+        src, dst, c.protocol, len, charged_le_sum(node, addr, c.seg)));
+    ASSERT_EQ(got, want) << "k=" << k << " len=" << len;
+
+    // With the field in place, the receive-side sum verifies.
+    c.seg[c.ck_off] = static_cast<std::uint8_t>(got >> 8);
+    c.seg[c.ck_off + 1] = static_cast<std::uint8_t>(got);
+    ASSERT_EQ(util::fold16(transport_sum_le(
+                  src, dst, c.protocol, len,
+                  charged_le_sum(node, addr, c.seg))),
+              0xffff)
+        << "k=" << k << " len=" << len;
+  }
+}
+
+TEST(ChargedChecksum, CorruptedSegmentIsRejected) {
+  sim::Simulator s;
+  sim::Node& node = s.add_node("n");
+  util::Rng rng(0xbad);
+  const Ipv4Addr src = Ipv4Addr::of(10, 0, 0, 1);
+  const Ipv4Addr dst = Ipv4Addr::of(10, 0, 0, 2);
+  SegmentCase c = random_segment(rng, 333);
+  const auto len = static_cast<std::uint16_t>(c.seg.size());
+  const std::uint16_t ck = transport_checksum(src, dst, c.protocol, c.seg);
+  c.seg[c.ck_off] = static_cast<std::uint8_t>(ck >> 8);
+  c.seg[c.ck_off + 1] = static_cast<std::uint8_t>(ck);
+  c.seg[len - 5] ^= 0x40;  // flip a payload bit
+  const std::uint32_t sum = charged_le_sum(node, 0x2001, c.seg);
+  EXPECT_NE(util::fold16(transport_sum_le(src, dst, c.protocol, len, sum)),
+            0xffff);
+  // The same verdict as the host pass it replaces.
+  EXPECT_NE(util::fold16(util::cksum_partial(
+                c.seg, pseudo_header_sum(src, dst, c.protocol, len))),
+            0xffff);
 }
 
 TEST(Headers, SeqArithmeticWrapsCorrectly) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "sim/cache.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace ash::sim {
 namespace {
@@ -498,6 +500,144 @@ TEST(Cache, InvalidateHugeRangeFlushes) {
   cache.invalidate_range(0, 1u << 20);
   EXPECT_FALSE(cache.contains(0));
   EXPECT_FALSE(cache.contains(240));
+}
+
+TEST(Cache, RejectsNonPowerOfTwoGeometry) {
+  EXPECT_THROW(Cache({.size_bytes = 1536, .line_bytes = 12}),
+               std::invalid_argument);  // 12-byte lines
+  EXPECT_THROW(Cache({.size_bytes = 48, .line_bytes = 16}),
+               std::invalid_argument);  // 3 lines
+  EXPECT_THROW(Cache({.size_bytes = 1024, .line_bytes = 0}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Cache({.size_bytes = 4, .line_bytes = 4}));  // 1 line
+}
+
+// ------------------------------------------- Cache::words vs per-word loop
+
+/// The contract Cache::words must reproduce exactly.
+Cycles reference_words(Cache& cache, std::uint32_t src, std::uint32_t dst,
+                       std::uint32_t len, bool reads, bool writes) {
+  Cycles extra = 0;
+  for (std::uint32_t off = 0; off < len; off += 4) {
+    const std::uint32_t n = std::min(4u, len - off);
+    if (reads) extra += cache.access(src + off, n, false);
+    if (writes) extra += cache.access(dst + off, n, true);
+  }
+  return extra;
+}
+
+/// Runs one loop through both paths on identical caches and compares
+/// cycles, counters and every tag; false (with a gtest failure) on the
+/// first difference.
+bool words_match(Cache& fast, Cache& ref, std::uint32_t src, std::uint32_t dst,
+                 std::uint32_t len, bool reads, bool writes) {
+  const Cycles got = fast.words(src, dst, len, reads, writes);
+  const Cycles want = reference_words(ref, src, dst, len, reads, writes);
+  const Cache::Raw f = fast.raw();
+  const Cache::Raw r = ref.raw();
+  bool same = got == want && fast.hits() == ref.hits() &&
+              fast.misses() == ref.misses() &&
+              std::equal(f.tags, f.tags + f.n_lines, r.tags);
+  for (std::uint32_t a = src; same && reads && a - src < len + 4;
+       a += f.line_bytes) {
+    same = fast.contains(a) == ref.contains(a);
+  }
+  EXPECT_TRUE(same) << "src=" << src << " dst=" << dst << " len=" << len
+                    << " reads=" << reads << " writes=" << writes
+                    << " line=" << f.line_bytes << " lines=" << f.n_lines
+                    << " cycles " << got << " vs " << want;
+  return same;
+}
+
+TEST(CacheWords, RandomDifferentialAgainstPerWordLoop) {
+  util::Rng rng(0x5eed'cace);
+  constexpr int kGeometries = 500;
+  constexpr int kLoopsPerGeometry = 250;  // 125 000 loops in all
+  for (int g = 0; g < kGeometries; ++g) {
+    // Lines of 1..128 bytes (below a word too), 1..256 lines.
+    const std::uint32_t line = 1u << rng.below(8);
+    const std::uint32_t lines = 1u << rng.below(9);
+    const CacheConfig cfg{.size_bytes = line * lines,
+                          .line_bytes = line,
+                          .read_miss_penalty = rng.range(1, 20),
+                          .write_cost = rng.below(3)};
+    Cache fast(cfg), ref(cfg);
+    const std::uint32_t span = 4 * cfg.size_bytes;
+    for (int k = 0; k < kLoopsPerGeometry; ++k) {
+      if (rng.chance(1, 50)) {  // occasionally start cold again
+        fast.flush_all();
+        ref.flush_all();
+      }
+      const auto src = static_cast<std::uint32_t>(rng.below(span));
+      std::uint32_t dst = 0;
+      switch (rng.below(4)) {
+        case 0:  // overlapping
+          dst = src + static_cast<std::uint32_t>(rng.below(2 * line + 1));
+          break;
+        case 1:  // same index, different tag (plus a small skew)
+          dst = src + cfg.size_bytes * static_cast<std::uint32_t>(
+                                           rng.range(1, 3)) +
+                static_cast<std::uint32_t>(rng.below(4));
+          break;
+        case 2:  // dst identical to src (in-place loops)
+          dst = src;
+          break;
+        default:
+          dst = static_cast<std::uint32_t>(rng.below(span));
+      }
+      // Word multiples and 1-3 byte tails, from empty to several lines.
+      const auto len = static_cast<std::uint32_t>(rng.below(6 * line + 8));
+      const int mode = static_cast<int>(rng.below(3));
+      const bool reads = mode != 1;
+      const bool writes = mode != 0;
+      if (!words_match(fast, ref, src, dst, len, reads, writes)) return;
+    }
+  }
+}
+
+TEST(CacheWords, WordStraddlingALine) {
+  const CacheConfig cfg{.size_bytes = 1024, .line_bytes = 16,
+                        .read_miss_penalty = 10};
+  Cache fast(cfg), ref(cfg);
+  // 0x0e..0x11 touches lines 0 and 1; 0x12..0x15 hits line 1.
+  EXPECT_EQ(fast.words(0x0e, 0, 8, true, false), 20u);
+  EXPECT_EQ(fast.hits(), 1u);
+  EXPECT_EQ(fast.misses(), 2u);
+  reference_words(ref, 0x0e, 0, 8, true, false);
+  EXPECT_TRUE(words_match(fast, ref, 0x20e, 0x40e, 40, true, true));
+}
+
+TEST(CacheWords, TailWord) {
+  const CacheConfig cfg{.size_bytes = 1024, .line_bytes = 16,
+                        .read_miss_penalty = 10};
+  Cache fast(cfg), ref(cfg);
+  // Tail in the run's own line: one miss, three hits.
+  EXPECT_EQ(fast.words(0x30, 0, 15, true, false), 10u);
+  EXPECT_EQ(fast.hits(), 3u);
+  EXPECT_EQ(fast.misses(), 1u);
+  // Tail alone in the next line.
+  EXPECT_EQ(fast.words(0x7c, 0, 7, true, false), 20u);
+  EXPECT_EQ(fast.misses(), 3u);
+  reference_words(ref, 0x30, 0, 15, true, false);
+  reference_words(ref, 0x7c, 0, 7, true, false);
+  EXPECT_TRUE(words_match(fast, ref, 0x101, 0x203, 1, true, true));
+  EXPECT_TRUE(words_match(fast, ref, 0x10d, 0x20e, 3, true, true));
+}
+
+TEST(CacheWords, SrcAndDstOnTheSameIndex) {
+  const CacheConfig cfg{.size_bytes = 256, .line_bytes = 16,
+                        .read_miss_penalty = 10, .write_cost = 1};
+  Cache fast(cfg), ref(cfg);
+  fast.touch_range(0x200, 16);
+  ref.touch_range(0x200, 16);
+  // The first read evicts dst's resident line, so all four writes miss:
+  // 10 (read fill) + 4 x 1 (write cost); hits are the three later reads.
+  EXPECT_EQ(fast.words(0x100, 0x200, 16, true, true), 14u);
+  EXPECT_EQ(fast.hits(), 3u);
+  EXPECT_EQ(fast.misses(), 5u);
+  EXPECT_FALSE(fast.contains(0x200));
+  reference_words(ref, 0x100, 0x200, 16, true, true);
+  EXPECT_TRUE(words_match(fast, ref, 0x104, 0x204, 30, true, true));
 }
 
 TEST(TimeConversion, CyclesAndMicroseconds) {
