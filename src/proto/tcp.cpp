@@ -10,13 +10,12 @@
 
 namespace ash::proto {
 
-namespace {
-constexpr std::uint32_t kSegHdrLen =
-    static_cast<std::uint32_t>(kIpHeaderLen + kTcpHeaderLen);
-}
-
 TcpConnection::TcpConnection(Link& link, const TcpConfig& config)
-    : link_(link), cfg_(config) {
+    : link_(link),
+      cfg_(config),
+      route_{cfg_.local_ip, cfg_.remote_ip, cfg_.local_port,
+             cfg_.remote_port, cfg_.checksum},
+      tx_(cfg_.rto, cfg_.min_rto, cfg_.max_rto, cfg_.mss, cfg_.window) {
   sim::Node& node = link.self().node();
   const std::uint32_t shm_base = link.carve(TcbShm::size_bytes());
   const std::uint32_t stage_cap = 2 * cfg_.window;
@@ -41,11 +40,7 @@ TcpConnection::TcpConnection(Link& link, const TcpConfig& config)
   set_state(TcpState::Closed);
   last_advertised_wnd_ = cfg_.window;
 
-  rtt_ = RttEstimator(cfg_.rto, std::min(cfg_.min_rto, cfg_.rto),
-                      cfg_.max_rto);
-  rto_cur_ = cfg_.rto;
-  cc_.reset(cfg_.mss, cfg_.window);
-  shm_.set(tcb::kSndCwnd, cc_.cwnd());
+  shm_.set(tcb::kSndCwnd, tx_.cc.cwnd());
 
   // Pre-build the pure-ACK template a downloaded fast-path handler patches
   // and transmits (Section V-B): constant IP header (checksummed) and TCP
@@ -53,19 +48,11 @@ TcpConnection::TcpConnection(Link& link, const TcpConfig& config)
   {
     std::uint8_t* t = node.mem(ack_scratch, tcb::kAckBufLen);
     std::memset(t, 0, tcb::kAckBufLen);
-    IpHeader aip;
-    aip.protocol = kIpProtoTcp;
-    aip.src = cfg_.local_ip;
-    aip.dst = cfg_.remote_ip;
-    aip.total_len = tcb::kAckPacketLen;
-    aip.ident = 0;
-    encode_ip({t, kIpHeaderLen}, aip);
-    TcpHeader ath;
-    ath.src_port = cfg_.local_port;
-    ath.dst_port = cfg_.remote_port;
-    ath.flags.ack = true;
-    ath.window = static_cast<std::uint16_t>(cfg_.window);
-    encode_tcp({t + kIpHeaderLen, kTcpHeaderLen}, ath);
+    static_assert(tcb::kAckPacketLen == kSegHdrLen);
+    TcpSegmentSpec ack;
+    ack.flags.ack = true;
+    ack.window = cfg_.window;
+    encode_tcp_headers(t, route_, ack);
     // Little-endian-word pseudo-header partial for the handler's checksum
     // arithmetic (it sums packet bytes as little-endian words).
     const std::uint32_t pseudo = util::cksum32_accumulate(
@@ -86,203 +73,49 @@ std::uint32_t TcpConnection::advertised_window() const {
   return used >= cfg_.window ? 0 : cfg_.window - used;
 }
 
-void TcpConnection::cancel_timer(sim::TimerWheel::Id& id) {
-  if (id != 0) {
-    wheel_.cancel(id);
-    id = 0;
-  }
-}
-
 void TcpConnection::arm_retx_timer() {
-  cancel_timer(retx_timer_);
-  if (retx_.empty()) return;
-  retx_timer_ =
-      wheel_.arm(link_.self().node().now() + rto_cur_, kTimerRetx);
+  tx_.arm_retx_timer(wheel_, link_.self().node().now(), kTimerRetx);
 }
 
 sim::Sub<bool> TcpConnection::send_segment(
     TcpFlags flags, std::span<const std::uint8_t> payload, bool queue_retx) {
-  sim::Node& node = link_.self().node();
-  const auto plen = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t total = kSegHdrLen + plen;
-  const std::uint32_t pkt = link_.tx_alloc_ip(total);
-  std::uint8_t* p = node.mem(pkt, total);
-
   const std::uint32_t seq = snd_nxt_;
-  sim::Cycles cycles = plen > 0 || flags.syn || flags.fin
-                           ? node.cost().tcp_send_overhead
-                           : node.cost().tcp_ack_overhead;
-
-  if (plen > 0) {
-    std::memcpy(p + kSegHdrLen, payload.data(), plen);
-    // Staging-copy cost (app buffer -> packet): loop + cache traffic.
-    cycles += sim::memops::stage_store_cycles(node, pkt + kSegHdrLen, plen);
-  }
-
-  TcpHeader tcp;
-  tcp.src_port = cfg_.local_port;
-  tcp.dst_port = cfg_.remote_port;
-  tcp.seq = seq;
-  tcp.ack = flags.ack ? rcv_nxt() : 0;
-  tcp.flags = flags;
-  tcp.window = static_cast<std::uint16_t>(
-      std::min<std::uint32_t>(advertised_window(), 0xffff));
-  tcp.checksum = 0;
-  encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  last_advertised_wnd_ = advertised_window();
-
-  if (cfg_.checksum) {
-    std::uint32_t sum = 0;
-    cycles += node.cost().udp_cksum_setup;
-    cycles += sim::memops::cksum(node, pkt + kIpHeaderLen,
-                                 kTcpHeaderLen + plen, &sum);
-    tcp.checksum = checksum_field(transport_sum_le(
-        cfg_.local_ip, cfg_.remote_ip, kIpProtoTcp,
-        static_cast<std::uint16_t>(kTcpHeaderLen + plen), sum));
-    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  }
-
-  IpHeader ip;
-  ip.protocol = kIpProtoTcp;
-  ip.src = cfg_.local_ip;
-  ip.dst = cfg_.remote_ip;
-  ip.total_len = static_cast<std::uint16_t>(total);
-  ip.ident = next_ident_++;
-  encode_ip({p, kIpHeaderLen}, ip);
-
-  const std::uint32_t consumed = plen + ((flags.syn || flags.fin) ? 1 : 0);
+  const std::uint32_t consumed = seq_space(flags, payload.size());
   snd_nxt_ = seq + consumed;
   shm_.set(tcb::kSndNxt, snd_nxt_);
-
   if (queue_retx && consumed > 0) {
-    retx_.push_back(RetxSegment{
-        seq, std::vector<std::uint8_t>(payload.begin(), payload.end()),
-        flags, 0});
-    if (retx_timer_ == 0) arm_retx_timer();
-    // Time one segment per flight window (RFC 6298 / Karn): the sample
-    // ends when this segment's last byte is acknowledged.
-    if (!rtt_pending_) {
-      rtt_pending_ = true;
-      rtt_seq_ = seq + consumed;
-      rtt_sent_at_ = node.now();
-    }
+    tx_.on_send(seq, flags, payload, wheel_, link_.self().node().now(),
+                kTimerRetx);
   }
-  if (plen == 0 && !flags.syn && !flags.fin) ++stats_.acks_sent;
-
-  co_await link_.self().compute(cycles);
-  const bool sent = co_await link_.send_ip(pkt, total);
-  co_return sent;
+  if (payload.empty() && !flags.syn && !flags.fin) ++stats_.acks_sent;
+  last_advertised_wnd_ = advertised_window();
+  return send_tcp_segment(link_, route_,
+                          {seq, rcv_nxt(), flags, last_advertised_wnd_,
+                           payload, next_ident_++},
+                          /*first_tx=*/true);
 }
 
 sim::Sub<bool> TcpConnection::send_ack() {
   TcpFlags flags;
   flags.ack = true;
-  const bool sent = co_await send_segment(flags, {}, /*queue_retx=*/false);
-  co_return sent;
-}
-
-sim::Sub<void> TcpConnection::send_rst(std::uint32_t seq, std::uint32_t ack,
-                                       bool with_ack) {
-  sim::Node& node = link_.self().node();
-  const std::uint32_t pkt = link_.tx_alloc_ip(kSegHdrLen);
-  std::uint8_t* p = node.mem(pkt, kSegHdrLen);
-
-  TcpHeader tcp;
-  tcp.src_port = cfg_.local_port;
-  tcp.dst_port = cfg_.remote_port;
-  tcp.seq = seq;
-  tcp.ack = with_ack ? ack : 0;
-  tcp.flags.rst = true;
-  tcp.flags.ack = with_ack;
-  tcp.window = 0;
-  tcp.checksum = 0;
-  encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  if (cfg_.checksum) {
-    tcp.checksum =
-        transport_checksum(cfg_.local_ip, cfg_.remote_ip, kIpProtoTcp,
-                           {p + kIpHeaderLen, kTcpHeaderLen});
-    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  }
-  IpHeader ip;
-  ip.protocol = kIpProtoTcp;
-  ip.src = cfg_.local_ip;
-  ip.dst = cfg_.remote_ip;
-  ip.total_len = static_cast<std::uint16_t>(kSegHdrLen);
-  ip.ident = next_ident_++;
-  encode_ip({p, kIpHeaderLen}, ip);
-
-  ++stats_.rsts_sent;
-  co_await link_.self().compute(node.cost().tcp_ack_overhead);
-  co_await link_.send_ip(pkt, kSegHdrLen);
+  return send_segment(flags, {}, /*queue_retx=*/false);
 }
 
 void TcpConnection::abort_connection() {
   ++stats_.aborts;
-  retx_.clear();
+  tx_.drop(wheel_);
   ooo_.clear();
-  dup_acks_ = 0;
-  rtt_pending_ = false;
   persist_fire_ = false;
-  cancel_timer(retx_timer_);
-  cancel_timer(persist_timer_);
-  cancel_timer(timewait_timer_);
   // Readers must not block waiting for data that can no longer arrive.
   peer_fin_seen_ = true;
   listening_ = false;
   set_state(TcpState::Closed);
 }
 
-void TcpConnection::process_rst(const TcpHeader& tcp) {
-  bool acceptable = false;
-  switch (state_) {
-    case TcpState::Closed:
-      return;  // nothing to reset
-    case TcpState::SynSent:
-      // RFC 793: in SYN_SENT a RST is valid only if it acks our SYN.
-      acceptable = tcp.flags.ack && tcp.ack == snd_nxt_;
-      break;
-    case TcpState::TimeWait:
-      // RFC 1337: ignore RSTs in TIME_WAIT (TIME-WAIT assassination).
-      ++stats_.rsts_ignored;
-      return;
-    default: {
-      // RFC 5961-style: the RST's sequence must fall in the receive
-      // window (always at least one sequence number wide).
-      const std::uint32_t wnd = std::max(advertised_window(), 1u);
-      acceptable =
-          seq_le(rcv_nxt(), tcp.seq) && seq_lt(tcp.seq, rcv_nxt() + wnd);
-      break;
-    }
-  }
-  if (acceptable) {
-    ++stats_.rsts_received;
-    abort_connection();
-  } else {
-    ++stats_.rsts_ignored;
-  }
-}
-
-void TcpConnection::reap_acked(std::uint32_t ack) {
-  bool popped = false;
-  while (!retx_.empty()) {
-    const RetxSegment& seg = retx_.front();
-    const std::uint32_t consumed =
-        static_cast<std::uint32_t>(seg.payload.size()) +
-        ((seg.flags.syn || seg.flags.fin) ? 1 : 0);
-    if (seq_le(seg.seq + consumed, ack)) {
-      retx_.pop_front();
-      popped = true;
-    } else {
-      break;
-    }
-  }
-  if (popped || retx_.empty()) arm_retx_timer();
-}
-
 sim::Sub<bool> TcpConnection::resend_front(bool count_retry) {
-  if (retx_.empty()) co_return true;
-  RetxSegment& seg = retx_.front();
-  if (count_retry && ++seg.retries > cfg_.max_retries) {
+  if (tx_.retx.empty()) co_return true;
+  const RetxSegment* seg = tx_.next_resend(count_retry, cfg_.max_retries);
+  if (seg == nullptr) {
     // Retry budget exhausted: the peer is unreachable. A bare `false`
     // here used to strand a half-open TCB (state Established, segments
     // still queued, shared TCB claiming liveness); tear it all down.
@@ -290,42 +123,12 @@ sim::Sub<bool> TcpConnection::resend_front(bool count_retry) {
     co_return false;
   }
   ++stats_.retransmits;
-  rtt_pending_ = false;  // Karn: never time a retransmitted flight
-
   // Rebuild the segment with its original sequence number.
-  sim::Node& node = link_.self().node();
-  const auto plen = static_cast<std::uint32_t>(seg.payload.size());
-  const std::uint32_t total = kSegHdrLen + plen;
-  const std::uint32_t pkt = link_.tx_alloc_ip(total);
-  std::uint8_t* p = node.mem(pkt, total);
-  if (plen > 0) std::memcpy(p + kSegHdrLen, seg.payload.data(), plen);
-
-  TcpHeader tcp;
-  tcp.src_port = cfg_.local_port;
-  tcp.dst_port = cfg_.remote_port;
-  tcp.seq = seg.seq;
-  tcp.ack = seg.flags.ack ? rcv_nxt() : 0;
-  tcp.flags = seg.flags;
-  tcp.window = static_cast<std::uint16_t>(
-      std::min<std::uint32_t>(advertised_window(), 0xffff));
-  tcp.checksum = 0;
-  encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  if (cfg_.checksum) {
-    tcp.checksum = transport_checksum(
-        cfg_.local_ip, cfg_.remote_ip, kIpProtoTcp,
-        {p + kIpHeaderLen, kTcpHeaderLen + plen});
-    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  }
-  IpHeader ip;
-  ip.protocol = kIpProtoTcp;
-  ip.src = cfg_.local_ip;
-  ip.dst = cfg_.remote_ip;
-  ip.total_len = static_cast<std::uint16_t>(total);
-  ip.ident = next_ident_++;
-  encode_ip({p, kIpHeaderLen}, ip);
-
-  co_await link_.self().compute(link_.self().node().cost().tcp_send_overhead);
-  co_await link_.send_ip(pkt, total);
+  co_await send_tcp_segment(link_, route_,
+                            {seg->seq, rcv_nxt(), seg->flags,
+                             advertised_window(), seg->payload,
+                             next_ident_++},
+                            /*first_tx=*/false);
   co_return true;
 }
 
@@ -336,26 +139,22 @@ sim::Sub<bool> TcpConnection::service_timers() {
   for (const auto& t : fired) {
     switch (t.cookie) {
       case kTimerRetx: {
-        retx_timer_ = 0;
-        if (retx_.empty()) break;
+        if (!tx_.on_rto(snd_nxt_ - snd_una())) break;
         ++stats_.rto_timeouts;
-        cc_.on_timeout(snd_nxt_ - snd_una());
-        shm_.set(tcb::kSndCwnd, cc_.cwnd());
-        rto_cur_ = std::min(rto_cur_ * 2, cfg_.max_rto);  // backoff
-        dup_acks_ = 0;
+        shm_.set(tcb::kSndCwnd, tx_.cc.cwnd());
         const bool alive = co_await resend_front(/*count_retry=*/true);
         if (!alive) co_return false;
         arm_retx_timer();
         break;
       }
       case kTimerPersist:
-        persist_timer_ = 0;
+        tx_.persist_timer = 0;
         persist_fire_ = true;  // the writer sends the probe byte
         break;
       case kTimerTimeWait:
-        timewait_timer_ = 0;
+        tx_.timewait_timer = 0;
         if (state_ == TcpState::TimeWait) {
-          retx_.clear();
+          tx_.retx.clear();
           set_state(TcpState::Closed);
         }
         break;
@@ -386,21 +185,14 @@ sim::Sub<bool> TcpConnection::wait_step(sim::Cycles horizon) {
   co_return got && alive;
 }
 
-void TcpConnection::enter_time_wait() {
-  cancel_timer(retx_timer_);
-  cancel_timer(persist_timer_);
-  cancel_timer(timewait_timer_);
-  set_state(TcpState::TimeWait);
-  timewait_timer_ =
-      wheel_.arm(link_.self().node().now() + cfg_.time_wait, kTimerTimeWait);
-}
-
 void TcpConnection::maybe_finish_close() {
   if (snd_una() != snd_nxt_) return;  // our FIN not yet acknowledged
   if (state_ == TcpState::FinSent && peer_fin_seen_) {
-    enter_time_wait();
+    tx_.enter_time_wait(wheel_, link_.self().node().now() + cfg_.time_wait,
+                        kTimerTimeWait);
+    set_state(TcpState::TimeWait);
   } else if (state_ == TcpState::LastAck) {
-    cancel_timer(retx_timer_);
+    cancel_timer(wheel_, tx_.retx_timer);
     set_state(TcpState::Closed);
   }
 }
@@ -448,8 +240,6 @@ void TcpConnection::drain_ooo(sim::Cycles* cycles) {
     const std::uint32_t used = shm_.get(tcb::kStageUsed);
     const std::uint32_t cap = shm_.get(tcb::kStageCap);
     if (used >= cap) return;
-    const bool have = ooo_.contiguous_at(rcv_nxt());
-    if (!have) return;
     std::vector<std::uint8_t> run = ooo_.pop_contiguous(rcv_nxt(), cap - used);
     if (run.empty()) return;
     // The bytes live in host memory (they were copied out of a released
@@ -545,7 +335,10 @@ sim::Sub<void> TcpConnection::process_packet(const net::RxDesc& d) {
 
   // --- RST ---
   if (tcp->flags.rst) {
-    process_rst(*tcp);
+    if (count_rst(stats_, rst_verdict(state_, *tcp, snd_nxt_, rcv_nxt(),
+                                      advertised_window()))) {
+      abort_connection();
+    }
     shm_.set(tcb::kLibBusy, 0);
     link_.release(d);
     co_return;
@@ -555,41 +348,23 @@ sim::Sub<void> TcpConnection::process_packet(const net::RxDesc& d) {
 
   // --- ACK processing ---
   if (tcp->flags.ack && state_ != TcpState::Closed) {
-    const std::uint32_t una_before = snd_una();
-    if (seq_lt(una_before, tcp->ack) && seq_le(tcp->ack, snd_nxt_)) {
-      // New data acknowledged.
-      set_snd_una(tcp->ack);
-      reap_acked(tcp->ack);
-      const std::uint32_t acked = tcp->ack - una_before;
-      cc_.on_ack(acked);
-      shm_.set(tcb::kSndCwnd, cc_.cwnd());
-      dup_acks_ = 0;
-      if (rtt_pending_ && seq_le(rtt_seq_, tcp->ack)) {
-        rtt_.sample(node.now() - rtt_sent_at_);
-        rtt_pending_ = false;
-      }
-      rto_cur_ = rtt_.rto();  // fresh ACK resets any backoff
-    } else if (tcp->ack == una_before && plen == 0 && !tcp->flags.syn &&
-               !tcp->flags.fin && seq_lt(una_before, snd_nxt_) &&
-               state_ == TcpState::Established) {
-      // Duplicate ACK with data outstanding: three trigger a fast
-      // retransmit of the presumed-lost front segment (RFC 5681).
-      if (++dup_acks_ == 3) {
-        dup_acks_ = 0;
-        cc_.on_fast_retransmit(snd_nxt_ - una_before);
-        shm_.set(tcb::kSndCwnd, cc_.cwnd());
-        ++stats_.fast_retransmits;
-        shm_.set(tcb::kLibBusy, 0);
-        link_.release(d);
-        if (seq_le(tcp->ack, snd_nxt_)) shm_.set(tcb::kSndWnd, tcp->window);
-        co_await resend_front(/*count_retry=*/false);
-        arm_retx_timer();
-        co_return;
-      }
+    const AckVerdict ack = tx_.on_ack(
+        *tcp, plen, snd_una(), snd_nxt_, state_ == TcpState::Established,
+        wheel_, node.now(), kTimerRetx);
+    if (ack == AckVerdict::kNewData) set_snd_una(tcp->ack);
+    shm_.set(tcb::kSndCwnd, tx_.cc.cwnd());
+    if (ack == AckVerdict::kFastRetransmit) {
+      ++stats_.fast_retransmits;
+      shm_.set(tcb::kLibBusy, 0);
+      link_.release(d);
+      if (seq_le(tcp->ack, snd_nxt_)) shm_.set(tcb::kSndWnd, tcp->window);
+      co_await resend_front(/*count_retry=*/false);
+      arm_retx_timer();
+      co_return;
     }
     if (seq_le(tcp->ack, snd_nxt_)) {
       shm_.set(tcb::kSndWnd, tcp->window);
-      if (tcp->window > 0) cancel_timer(persist_timer_);
+      if (tcp->window > 0) cancel_timer(wheel_, tx_.persist_timer);
     }
   }
 
@@ -611,11 +386,12 @@ sim::Sub<void> TcpConnection::process_packet(const net::RxDesc& d) {
         // No connection state for this segment: answer with RST so the
         // peer tears down instead of retrying into a void (RFC 793).
         const std::uint32_t rseq = tcp->flags.ack ? tcp->ack : 0;
-        const std::uint32_t rack =
-            tcp->seq + plen + ((tcp->flags.syn || tcp->flags.fin) ? 1 : 0);
+        const std::uint32_t rack = tcp->seq + seq_space(tcp->flags, plen);
         shm_.set(tcb::kLibBusy, 0);
         link_.release(d);
-        co_await send_rst(rseq, rack, /*with_ack=*/!tcp->flags.ack);
+        ++stats_.rsts_sent;
+        co_await send_tcp_rst(link_, route_, rseq, rack,
+                              /*with_ack=*/!tcp->flags.ack, next_ident_++);
         co_return;
       }
       break;
@@ -632,8 +408,8 @@ sim::Sub<void> TcpConnection::process_packet(const net::RxDesc& d) {
       // counted and challenged with a bare ACK.
       if (tcp->flags.fin && seq_lt(tcp->seq, rcv_nxt())) {
         ++stats_.dup_segments;
-        cancel_timer(timewait_timer_);
-        timewait_timer_ =
+        cancel_timer(wheel_, tx_.timewait_timer);
+        tx_.timewait_timer =
             wheel_.arm(node.now() + cfg_.time_wait, kTimerTimeWait);
         ack_needed = true;
       } else if (!seq_le(rcv_nxt(), tcp->seq) ||
@@ -713,7 +489,7 @@ sim::Sub<bool> TcpConnection::connect() {
   co_await send_segment(syn, {}, /*queue_retx=*/true);
   while (state_ != TcpState::Established) {
     if (state_ == TcpState::Closed) co_return false;  // RST or exhaustion
-    co_await wait_step(rto_cur_);
+    co_await wait_step(tx_.rto_cur);
   }
   co_return true;
 }
@@ -722,7 +498,7 @@ sim::Sub<bool> TcpConnection::accept() {
   listening_ = true;
   while (state_ != TcpState::Established) {
     if (state_ == TcpState::Closed && !listening_) co_return false;
-    co_await wait_step(rto_cur_);
+    co_await wait_step(tx_.rto_cur);
   }
   listening_ = false;
   co_return true;
@@ -741,7 +517,7 @@ sim::Sub<bool> TcpConnection::write_from(std::uint32_t app_addr,
     while (sent < len) {
       const std::uint32_t inflight = snd_nxt_ - snd_una();
       const std::uint32_t wnd =
-          std::min({snd_wnd(), cfg_.window, cc_.cwnd()});
+          std::min({snd_wnd(), cfg_.window, tx_.cc.cwnd()});
       if (inflight >= wnd) break;
       const std::uint32_t chunk =
           std::min({cfg_.mss, len - sent, wnd - inflight});
@@ -771,15 +547,15 @@ sim::Sub<bool> TcpConnection::write_from(std::uint32_t app_addr,
         sent += 1;
         continue;
       }
-      if (persist_timer_ == 0) {
-        persist_timer_ = wheel_.arm(node.now() + rto_cur_, kTimerPersist);
+      if (tx_.persist_timer == 0) {
+        tx_.persist_timer = wheel_.arm(node.now() + tx_.rto_cur, kTimerPersist);
       }
     }
 
     // Wait for ACK progress.
     if (handler_attached_) {
       const std::uint32_t before = snd_una();
-      const sim::Cycles deadline = node.now() + rto_cur_;
+      const sim::Cycles deadline = node.now() + tx_.rto_cur;
       while (snd_una() == before) {
         if (auto d = link_.try_recv()) {
           co_await process_packet(*d);  // handler fallback path
@@ -798,20 +574,18 @@ sim::Sub<bool> TcpConnection::write_from(std::uint32_t app_addr,
         } else {
           const bool alive = co_await service_timers();
           if (!alive) co_return false;
-          if (wheel_.size() == 0 && !retx_.empty()) arm_retx_timer();
+          if (wheel_.size() == 0 && !tx_.retx.empty()) arm_retx_timer();
         }
       } else if (seq_lt(before, after)) {
         // The downloaded handler consumed the ACKs: reconcile the
-        // retransmit queue and grow the congestion window here.
-        reap_acked(after);
-        cc_.on_ack(after - before);
-        shm_.set(tcb::kSndCwnd, cc_.cwnd());
-        dup_acks_ = 0;
-        rtt_pending_ = false;  // the sample's ACK was consumed unseen
-        rto_cur_ = rtt_.rto();
+        // retransmit queue and grow the congestion window here. The
+        // sample's ACK was consumed unseen, so no RTT sample.
+        tx_.rtt_pending = false;
+        tx_.on_new_data(before, after, wheel_, node.now(), kTimerRetx);
+        shm_.set(tcb::kSndCwnd, tx_.cc.cwnd());
       }
     } else {
-      co_await wait_step(rto_cur_);
+      co_await wait_step(tx_.rto_cur);
     }
   }
   co_return true;
@@ -819,22 +593,34 @@ sim::Sub<bool> TcpConnection::write_from(std::uint32_t app_addr,
 
 sim::Sub<std::uint32_t> TcpConnection::read_into(std::uint32_t app_addr,
                                                  std::uint32_t max_len) {
+  return read_stage(app_addr, max_len, /*copy=*/true);
+}
+
+sim::Sub<std::uint32_t> TcpConnection::read_discard(std::uint32_t max_len) {
+  return read_stage(0, max_len, /*copy=*/false);
+}
+
+sim::Sub<std::uint32_t> TcpConnection::read_stage(std::uint32_t app_addr,
+                                                  std::uint32_t max_len,
+                                                  bool copy) {
   sim::Node& node = link_.self().node();
   for (;;) {
     const std::uint32_t used = shm_.get(tcb::kStageUsed);
     if (used > 0) {
-      const std::uint32_t base = shm_.get(tcb::kStageBase);
       const std::uint32_t cap = shm_.get(tcb::kStageCap);
-      std::uint32_t rd = shm_.get(tcb::kStageRd);
+      const std::uint32_t rd = shm_.get(tcb::kStageRd);
       const std::uint32_t n = std::min(used, max_len);
-      const std::uint32_t first = std::min(n, cap - rd);
-      sim::Cycles cycles = sim::memops::copy(node, app_addr, base + rd, first);
-      if (first < n) {
-        cycles +=
-            sim::memops::copy(node, app_addr + first, base, n - first);
+      sim::Cycles cycles = 0;
+      if (copy) {
+        const std::uint32_t base = shm_.get(tcb::kStageBase);
+        const std::uint32_t first = std::min(n, cap - rd);
+        cycles += sim::memops::copy(node, app_addr, base + rd, first);
+        if (first < n) {
+          cycles +=
+              sim::memops::copy(node, app_addr + first, base, n - first);
+        }
       }
-      rd = (rd + n) % cap;
-      shm_.set(tcb::kStageRd, rd);
+      shm_.set(tcb::kStageRd, (rd + n) % cap);
       shm_.set(tcb::kStageUsed, used - n);
       if (used - n == 0) {
         shm_.set(tcb::kStageRd, 0);
@@ -844,7 +630,7 @@ sim::Sub<std::uint32_t> TcpConnection::read_into(std::uint32_t app_addr,
         cycles += node.cost().tcp_handler_read_overhead *
                   ((n + cfg_.mss - 1) / cfg_.mss);
       }
-      co_await link_.self().compute(cycles);
+      if (copy || handler_attached_) co_await link_.self().compute(cycles);
       // Window update if consumption re-opened it: a full MSS of fresh
       // space, or ANY space after advertising zero (a sub-MSS reader
       // must still un-wedge a persisting peer).
@@ -868,51 +654,7 @@ sim::Sub<std::uint32_t> TcpConnection::read_into(std::uint32_t app_addr,
         co_await link_.self().compute(node.cost().poll_iteration);
       }
     } else {
-      co_await wait_step(rto_cur_);
-    }
-  }
-}
-
-sim::Sub<std::uint32_t> TcpConnection::read_discard(std::uint32_t max_len) {
-  sim::Node& node = link_.self().node();
-  for (;;) {
-    const std::uint32_t used = shm_.get(tcb::kStageUsed);
-    if (used > 0) {
-      const std::uint32_t cap = shm_.get(tcb::kStageCap);
-      std::uint32_t rd = shm_.get(tcb::kStageRd);
-      const std::uint32_t n = std::min(used, max_len);
-      rd = (rd + n) % cap;
-      shm_.set(tcb::kStageRd, rd);
-      shm_.set(tcb::kStageUsed, used - n);
-      if (used - n == 0) {
-        shm_.set(tcb::kStageRd, 0);
-        shm_.set(tcb::kStageWr, 0);
-      }
-      if (handler_attached_) {
-        co_await link_.self().compute(node.cost().tcp_handler_read_overhead *
-                                      ((n + cfg_.mss - 1) / cfg_.mss));
-      }
-      const std::uint32_t adv = advertised_window();
-      if (adv >= last_advertised_wnd_ + cfg_.mss ||
-          (last_advertised_wnd_ == 0 && adv > 0)) {
-        ++stats_.window_updates;
-        co_await send_ack();
-      }
-      co_return n;
-    }
-    if (peer_fin_seen_) co_return 0;
-    if (state_ == TcpState::Closed) co_return 0;
-
-    if (handler_attached_) {
-      if (auto d = link_.try_recv()) {
-        co_await process_packet(*d);
-      } else {
-        const bool alive = co_await service_timers();
-        if (!alive) co_return 0;
-        co_await link_.self().compute(node.cost().poll_iteration);
-      }
-    } else {
-      co_await wait_step(rto_cur_);
+      co_await wait_step(tx_.rto_cur);
     }
   }
 }
@@ -945,7 +687,7 @@ sim::Sub<void> TcpConnection::close() {
       co_await wait_step(cfg_.time_wait);
       continue;
     }
-    const bool got = co_await wait_step(rto_cur_);
+    const bool got = co_await wait_step(tx_.rto_cur);
     maybe_finish_close();
     if (got) {
       idle_rounds = 0;
@@ -953,10 +695,8 @@ sim::Sub<void> TcpConnection::close() {
                state_ != TcpState::Closed) {
       // FIN_WAIT_2-style give-up: our FIN is acked but the peer never
       // sends its own. Drop what's left rather than wait forever.
-      retx_.clear();
-      cancel_timer(retx_timer_);
-      cancel_timer(persist_timer_);
-      cancel_timer(timewait_timer_);
+      tx_.retx.clear();
+      tx_.cancel_timers(wheel_);
       set_state(TcpState::Closed);
     }
   }

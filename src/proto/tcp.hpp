@@ -6,9 +6,10 @@
 // segment, this one is production-shaped: RFC 6298 adaptive RTO with
 // exponential backoff, duplicate-ACK fast retransmit, a minimal RFC 5681
 // congestion window, zero-window persist probes, inbound RST handling,
-// TIME_WAIT, and out-of-order reassembly (tcp_control.hpp) — all driven
-// by a per-connection timer wheel (sim/timer_wheel.hpp) instead of the
-// old fixed `pump(rto)` rounds.
+// TIME_WAIT, and out-of-order reassembly — all driven by a
+// per-connection timer wheel (sim/timer_wheel.hpp) instead of the old
+// fixed `pump(rto)` rounds. The sender half and the segment writer are
+// shared with TcpEngine (tcp_control.hpp).
 //
 // write() is synchronous: it returns once every byte has been
 // acknowledged — the paper calls this out as the source of TCP's extra
@@ -22,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -35,19 +35,6 @@
 #include "sim/timer_wheel.hpp"
 
 namespace ash::proto {
-
-// Values 0–5 are shared with the VCODE fast-path handler via tcb::kState;
-// new states append only.
-enum class TcpState : std::uint32_t {
-  Closed = 0,
-  SynSent,
-  SynRcvd,
-  Established,
-  FinSent,    // we sent FIN, awaiting its ACK (and possibly peer FIN)
-  CloseWait,  // peer sent FIN; we still may send
-  TimeWait,   // both FINs done, we closed actively: hold 2MSL
-  LastAck,    // passive close: our FIN sent after peer's, awaiting its ACK
-};
 
 struct TcpConfig {
   Ipv4Addr local_ip;
@@ -125,56 +112,22 @@ class TcpConnection {
   /// staging ring and polls the notify ring only for handler fallbacks.
   void set_handler_attached(bool on) noexcept { handler_attached_ = on; }
 
-  struct Stats {
-    std::uint64_t segments_in = 0;
+  struct Stats : TcpCounters {
     std::uint64_t fastpath_hits = 0;
     std::uint64_t slowpath = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t cksum_failures = 0;
-    std::uint64_t acks_sent = 0;
-    /// Genuinely unbufferable arrivals: out of window, or the OOO store
-    /// was full (with reassembly off: every non-in-order segment).
-    std::uint64_t ooo_dropped = 0;
-    std::uint64_t aborts = 0;  // torn down on retry exhaustion or RST
-    // Split from the old ooo_dropped catch-all: retransmission noise
-    // (already-delivered data) vs. genuine reordering.
-    std::uint64_t dup_segments = 0;    // entirely below rcv_nxt
-    std::uint64_t ooo_buffered = 0;    // segments parked for reassembly
-    std::uint64_t ooo_reassembled = 0; // bytes later drained in order
-    std::uint64_t rsts_received = 0;   // acceptable RSTs (tore us down)
-    std::uint64_t rsts_ignored = 0;    // RSTs failing seq validation
-    std::uint64_t rsts_sent = 0;
-    std::uint64_t fast_retransmits = 0;
-    std::uint64_t rto_timeouts = 0;
-    std::uint64_t persist_probes = 0;  // zero-window probes sent
-    std::uint64_t window_updates = 0;  // reopen ACKs from the read path
     std::uint64_t stage_full_drops = 0;  // in-order but staging ring full
-    std::uint64_t timewait_drops = 0;  // out-of-window segs in TIME_WAIT
   };
   const Stats& stats() const noexcept { return stats_; }
 
   /// Segments awaiting acknowledgement (empty after teardown — a torn
   /// down connection keeps nothing to retransmit).
-  std::size_t retx_depth() const noexcept { return retx_.size(); }
+  std::size_t retx_depth() const noexcept { return tx_.retx.size(); }
 
   /// Current retransmission timeout (adaptive; backs off exponentially).
-  sim::Cycles current_rto() const noexcept { return rto_cur_; }
-  std::uint32_t cwnd() const noexcept { return cc_.cwnd(); }
+  sim::Cycles current_rto() const noexcept { return tx_.rto_cur; }
+  std::uint32_t cwnd() const noexcept { return tx_.cc.cwnd(); }
 
  private:
-  struct RetxSegment {
-    std::uint32_t seq;
-    std::vector<std::uint8_t> payload;
-    TcpFlags flags;
-    int retries = 0;
-  };
-
-  enum TimerKind : std::uint64_t {
-    kTimerRetx = 1,
-    kTimerPersist = 2,
-    kTimerTimeWait = 3,
-  };
-
   // ---- shared-TCB convenience ----
   std::uint32_t rcv_nxt() const { return shm_.get(tcb::kRcvNxt); }
   void set_rcv_nxt(std::uint32_t v) { shm_.set(tcb::kRcvNxt, v); }
@@ -188,26 +141,19 @@ class TcpConnection {
     return cfg_.ooo_limit ? cfg_.ooo_limit : 2 * cfg_.window;
   }
 
-  /// Transmit one segment (flags + optional payload from app memory or a
-  /// retransmit buffer). Appends to the retransmit queue when it carries
-  /// data or SYN/FIN.
+  /// Transmit one new segment (flags + optional payload from app
+  /// memory) at snd_nxt. Appends to the retransmit queue when
+  /// `queue_retx` and it carries data or SYN/FIN. The sender state
+  /// moves at the call; await the result at once.
   sim::Sub<bool> send_segment(TcpFlags flags,
                               std::span<const std::uint8_t> payload,
                               bool queue_retx);
 
   sim::Sub<bool> send_ack();
 
-  /// Raw RST (optionally carrying an ACK) at an explicit sequence —
-  /// answers segments for which no connection state exists.
-  sim::Sub<void> send_rst(std::uint32_t seq, std::uint32_t ack,
-                          bool with_ack);
-
   /// Process one raw packet from the link (any state). Updates shared and
   /// private state, sends ACKs as needed.
   sim::Sub<void> process_packet(const net::RxDesc& d);
-
-  /// Inbound RST: RFC 5961-style sequence validation, then teardown.
-  void process_rst(const TcpHeader& tcp);
 
   /// Wait for a packet or the next timer deadline (whichever is sooner,
   /// capped at `horizon`), then service expired timers. Returns true if
@@ -229,15 +175,13 @@ class TcpConnection {
   /// leaving a half-open TCB.
   void abort_connection();
 
-  /// Pop retransmit segments fully covered by `ack` (also reconciles
-  /// handler-driven kSndUna advances) and re-arm the retx timer.
-  void reap_acked(std::uint32_t ack);
-
   void arm_retx_timer();
-  void cancel_timer(sim::TimerWheel::Id& id);
-  void enter_time_wait();
   /// FIN_WAIT -> TIME_WAIT / LAST_ACK -> CLOSED once our FIN is acked.
   void maybe_finish_close();
+
+  /// read_into (copying to `app_addr`) or read_discard (`copy` false).
+  sim::Sub<std::uint32_t> read_stage(std::uint32_t app_addr,
+                                     std::uint32_t max_len, bool copy);
 
   void stage_append(const std::uint8_t* data, std::uint32_t len,
                     sim::Cycles* cycles);
@@ -247,6 +191,7 @@ class TcpConnection {
 
   Link& link_;
   TcpConfig cfg_;
+  TcpRoute route_;
   TcbShm shm_;
   TcpState state_ = TcpState::Closed;
 
@@ -256,27 +201,15 @@ class TcpConnection {
   bool handler_attached_ = false;
   bool listening_ = false;
 
-  std::deque<RetxSegment> retx_;
   std::uint16_t next_ident_ = 1;
 
-  // Adaptive retransmission (RFC 6298) + congestion control (RFC 5681).
-  RttEstimator rtt_;
-  CongestionWindow cc_;
-  sim::Cycles rto_cur_ = 0;
-  std::uint32_t dup_acks_ = 0;
-  bool rtt_pending_ = false;     // a timed segment is in flight
-  std::uint32_t rtt_seq_ = 0;    // ack covering this ends the sample
-  sim::Cycles rtt_sent_at_ = 0;
+  // Retransmission, RFC 6298 RTO, RFC 5681 congestion control, timers.
+  TcpSender tx_;
+  sim::TimerWheel wheel_;  // retransmission, persist, TIME_WAIT
+  bool persist_fire_ = false;    // persist timer expired; writer must probe
 
   // Out-of-order reassembly.
   OooBuffer ooo_;
-
-  // Timer wheel: retransmission, persist, TIME_WAIT.
-  sim::TimerWheel wheel_;
-  sim::TimerWheel::Id retx_timer_ = 0;
-  sim::TimerWheel::Id persist_timer_ = 0;
-  sim::TimerWheel::Id timewait_timer_ = 0;
-  bool persist_fire_ = false;    // persist timer expired; writer must probe
 
   Stats stats_;
 };

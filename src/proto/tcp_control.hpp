@@ -1,26 +1,47 @@
-// Connection-control primitives shared by the blocking TcpConnection
-// library and the event-driven TcpEngine: RFC 6298 RTT estimation,
-// RFC 5681-shaped congestion accounting, and an out-of-order segment
-// store for reassembly. Header-only, sim-agnostic except for Cycles.
+// Connection-control code shared by the blocking TcpConnection library
+// and the event-driven TcpEngine: RFC 6298 RTT estimation, RFC 5681-shaped
+// congestion accounting, an out-of-order segment store for reassembly,
+// and the sender half both tiers run — retransmit queue, ACK and
+// duplicate-ACK processing, RTO backoff, RST acceptance, the connection
+// timers and the one IPv4+TCP segment writer. Each tier keeps its own I/O
+// order, flush policy and receive path (DESIGN §7c).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <iterator>
 #include <map>
 #include <span>
 #include <vector>
 
 #include "proto/headers.hpp"
+#include "proto/link.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/timer_wheel.hpp"
 
 namespace ash::proto {
 
+// Values 0–5 are shared with the VCODE fast-path handler via tcb::kState;
+// new states append only.
+enum class TcpState : std::uint32_t {
+  Closed = 0,
+  SynSent,
+  SynRcvd,
+  Established,
+  FinSent,    // we sent FIN, awaiting its ACK (and possibly peer FIN)
+  CloseWait,  // peer sent FIN; we still may send
+  TimeWait,   // both FINs done, we closed actively: hold 2MSL
+  LastAck,    // passive close: our FIN sent after peer's, awaiting its ACK
+};
+
+inline constexpr std::uint32_t kSegHdrLen =
+    static_cast<std::uint32_t>(kIpHeaderLen + kTcpHeaderLen);
+
 /// RFC 6298 retransmission-timeout estimator: SRTT/RTTVAR with the
 /// standard 1/8 and 1/4 gains, RTO = SRTT + 4*RTTVAR clamped to
-/// [min_rto, max_rto]. Backoff is the caller's job (it owns the armed
-/// timer); Karn's rule is enforced by the caller only feeding samples
-/// from segments that were never retransmitted.
+/// [min_rto, max_rto]. Backoff and Karn's rule (only samples from
+/// segments that were never retransmitted) live in TcpSender.
 class RttEstimator {
  public:
   RttEstimator() = default;
@@ -46,6 +67,7 @@ class RttEstimator {
   }
 
   bool has_sample() const noexcept { return has_sample_; }
+  sim::Cycles max_rto() const noexcept { return max_; }
   sim::Cycles srtt() const noexcept { return srtt_; }
   sim::Cycles rttvar() const noexcept { return rttvar_; }
 
@@ -211,13 +233,8 @@ class OooBuffer {
     return out;
   }
 
-  bool contiguous_at(std::uint32_t rcv_nxt) const {
-    purge_stale(rcv_nxt);
-    auto it = segs_.begin();
-    return it != segs_.end() && seq_le(it->first, rcv_nxt);
-  }
-
-  /// Move up to `max_len` bytes contiguous at rcv_nxt out of the store.
+  /// Move up to `max_len` bytes contiguous at rcv_nxt out of the store
+  /// (empty when nothing is).
   std::vector<std::uint8_t> pop_contiguous(std::uint32_t rcv_nxt,
                                            std::uint32_t max_len) {
     purge_stale(rcv_nxt);
@@ -262,24 +279,224 @@ class OooBuffer {
     }
   };
 
-  void purge_stale(std::uint32_t rcv_nxt) const {
+  void purge_stale(std::uint32_t rcv_nxt) {
     // Drop segments that fell entirely below rcv_nxt (delivered by the
     // in-order path while they sat here).
-    auto& segs = const_cast<std::map<std::uint32_t, std::vector<std::uint8_t>,
-                                     SeqLess>&>(segs_);
-    auto& bytes = const_cast<std::size_t&>(bytes_);
-    while (!segs.empty()) {
-      auto it = segs.begin();
+    while (!segs_.empty()) {
+      auto it = segs_.begin();
       const std::uint32_t end =
           it->first + static_cast<std::uint32_t>(it->second.size());
       if (!seq_le(end, rcv_nxt)) break;
-      bytes -= it->second.size();
-      segs.erase(it);
+      bytes_ -= it->second.size();
+      segs_.erase(it);
     }
   }
 
   std::map<std::uint32_t, std::vector<std::uint8_t>, SeqLess> segs_;
   std::size_t bytes_ = 0;
 };
+
+/// Counters both tiers keep under the same names.
+struct TcpCounters {
+  std::uint64_t segments_in = 0;
+  std::uint64_t acks_sent = 0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t fast_retransmits = 0;
+  std::uint64_t rto_timeouts = 0;
+  std::uint64_t cksum_failures = 0;
+  std::uint64_t aborts = 0;  // torn down on retry exhaustion or RST
+  // Retransmission noise (already-delivered data) vs. genuine reordering.
+  std::uint64_t dup_segments = 0;     // entirely below rcv_nxt
+  std::uint64_t ooo_buffered = 0;     // segments parked for reassembly
+  std::uint64_t ooo_reassembled = 0;  // bytes later drained in order
+  /// Genuinely unbufferable arrivals: out of window, or the OOO store
+  /// was full (with reassembly off: every non-in-order segment).
+  std::uint64_t ooo_dropped = 0;
+  std::uint64_t rsts_received = 0;   // acceptable RSTs (tore us down)
+  std::uint64_t rsts_ignored = 0;    // RSTs failing seq validation
+  std::uint64_t rsts_sent = 0;
+  std::uint64_t persist_probes = 0;  // zero-window probes sent
+  std::uint64_t window_updates = 0;  // reopen ACKs from the read path
+  std::uint64_t timewait_drops = 0;  // out-of-window segs in TIME_WAIT
+};
+
+/// What an inbound RST does to a connection.
+enum class RstVerdict { kNoState, kAccept, kIgnore };
+
+/// RST acceptance: nothing to reset while Closed; in SYN_SENT only a RST
+/// acking our SYN counts (RFC 793); TIME_WAIT ignores RSTs (RFC 1337,
+/// TIME-WAIT assassination); otherwise the RST's sequence must fall in
+/// the receive window, always at least one sequence number wide (RFC
+/// 5961).
+inline RstVerdict rst_verdict(TcpState state, const TcpHeader& rst,
+                              std::uint32_t snd_nxt, std::uint32_t rcv_nxt,
+                              std::uint32_t rcv_wnd) {
+  bool ok = false;
+  switch (state) {
+    case TcpState::Closed:
+      return RstVerdict::kNoState;
+    case TcpState::SynSent:
+      ok = rst.flags.ack && rst.ack == snd_nxt;
+      break;
+    case TcpState::TimeWait:
+      break;
+    default:
+      ok = seq_le(rcv_nxt, rst.seq) &&
+           seq_lt(rst.seq, rcv_nxt + std::max(rcv_wnd, 1u));
+      break;
+  }
+  return ok ? RstVerdict::kAccept : RstVerdict::kIgnore;
+}
+
+/// Count an inbound RST's verdict; true when it tears the connection down.
+inline bool count_rst(TcpCounters& stats, RstVerdict v) {
+  if (v == RstVerdict::kAccept) ++stats.rsts_received;
+  if (v == RstVerdict::kIgnore) ++stats.rsts_ignored;
+  return v == RstVerdict::kAccept;
+}
+
+/// Sequence space a segment occupies: its payload plus one for SYN or FIN.
+inline std::uint32_t seq_space(TcpFlags flags, std::size_t plen) {
+  return static_cast<std::uint32_t>(plen) + (flags.syn || flags.fin ? 1 : 0);
+}
+
+/// One unacknowledged segment, kept for retransmission.
+struct RetxSegment {
+  std::uint32_t seq = 0;
+  std::vector<std::uint8_t> payload;
+  TcpFlags flags;
+  int retries = 0;
+};
+
+/// Per-connection timers; each tier's wheel cookie encodes the kind.
+enum TcpTimerKind : std::uint64_t {
+  kTimerRetx = 0,
+  kTimerPersist = 1,
+  kTimerTimeWait = 2,  // also the engine's FIN_WAIT_2 give-up
+};
+
+inline void cancel_timer(sim::TimerWheel& wheel, sim::TimerWheel::Id& id) {
+  if (id != 0) {
+    wheel.cancel(id);
+    id = 0;
+  }
+}
+
+/// How the sender half classified an inbound ACK.
+enum class AckVerdict { kNone, kNewData, kFastRetransmit };
+
+/// The sender half of one connection: the retransmit queue, RTT sampling
+/// under Karn's rule, the congestion window, RTO backoff, duplicate-ACK
+/// counting, and the connection's timers on a wheel the caller owns (and
+/// whose cookies it picks). snd_una and snd_wnd stay with the caller: the
+/// library keeps them in the shared TCB, where a downloaded fast-path
+/// handler advances them.
+struct TcpSender {
+  TcpSender() = default;
+  TcpSender(sim::Cycles rto, sim::Cycles min_rto, sim::Cycles max_rto,
+            std::uint32_t mss, std::uint32_t window)
+      : rtt(rto, std::min(min_rto, rto), max_rto),
+        cc(mss, window),
+        rto_cur(rto) {}
+
+  /// A segment occupying sequence space went out at `now`: queue it,
+  /// arm the retx timer if idle, and time it unless a sample is already
+  /// in flight (one per window, RFC 6298).
+  void on_send(std::uint32_t seq, TcpFlags flags,
+               std::span<const std::uint8_t> payload, sim::TimerWheel& wheel,
+               sim::Cycles now, std::uint64_t cookie);
+
+  /// The ACK field of an inbound segment of `plen` payload bytes, given
+  /// the caller's snd_una/snd_nxt before it. New data reaps the queue
+  /// (re-arming the retx timer at the pre-ACK RTO), grows cwnd, ends the
+  /// RTT sample and resets any backoff. A duplicate ACK while
+  /// `established` with data outstanding counts toward fast retransmit;
+  /// the third halves cwnd (RFC 5681).
+  AckVerdict on_ack(const TcpHeader& tcp, std::uint32_t plen,
+                    std::uint32_t snd_una, std::uint32_t snd_nxt,
+                    bool established, sim::TimerWheel& wheel,
+                    sim::Cycles now, std::uint64_t cookie);
+  /// [snd_una, ack) acknowledged: the new-data half of on_ack.
+  void on_new_data(std::uint32_t snd_una, std::uint32_t ack,
+                   sim::TimerWheel& wheel, sim::Cycles now,
+                   std::uint64_t cookie);
+
+  /// The retx timer fired. False when nothing is outstanding; otherwise
+  /// collapse cwnd, double the RTO (capped at max_rto) and forget
+  /// duplicate ACKs.
+  bool on_rto(std::uint32_t flight);
+
+  /// The front segment to resend (the queue must be non-empty), or null
+  /// when an RTO resend (`count_retry`) exhausts the retry budget. Karn:
+  /// a retransmitted flight is never timed.
+  const RetxSegment* next_resend(bool count_retry, int max_retries);
+
+  void arm_retx_timer(sim::TimerWheel& wheel, sim::Cycles now,
+                      std::uint64_t cookie);
+  void cancel_timers(sim::TimerWheel& wheel);
+  /// The connection is torn down: forget everything in flight.
+  void drop(sim::TimerWheel& wheel);
+  /// Cancel every timer and start the 2MSL hold ending at `deadline`.
+  void enter_time_wait(sim::TimerWheel& wheel, sim::Cycles deadline,
+                       std::uint64_t cookie);
+
+  std::deque<RetxSegment> retx;
+  RttEstimator rtt;
+  CongestionWindow cc;
+  sim::Cycles rto_cur = 0;
+  std::uint32_t dup_acks = 0;
+  bool rtt_pending = false;   // a timed segment is in flight
+  std::uint32_t rtt_seq = 0;  // an ack covering this ends the sample
+  sim::Cycles rtt_sent_at = 0;
+  sim::TimerWheel::Id retx_timer = 0;
+  sim::TimerWheel::Id persist_timer = 0;
+  sim::TimerWheel::Id timewait_timer = 0;
+};
+
+/// Addressing and checksum policy of one flow's outgoing segments.
+struct TcpRoute {
+  Ipv4Addr local_ip;
+  Ipv4Addr remote_ip;
+  std::uint16_t local_port = 0;
+  std::uint16_t remote_port = 0;
+  bool checksum = true;
+};
+
+/// One outgoing segment's fields.
+struct TcpSegmentSpec {
+  std::uint32_t seq = 0;
+  std::uint32_t ack = 0;     // sent only with flags.ack
+  TcpFlags flags;
+  std::uint32_t window = 0;  // clamped to 16 bits
+  std::span<const std::uint8_t> payload;
+  std::uint16_t ident = 0;   // IPv4 identification
+};
+
+/// The IPv4 and TCP headers of `s` at `p` (kSegHdrLen bytes, the TCP
+/// checksum field zero). Returns the TCP header it wrote.
+TcpHeader encode_tcp_headers(std::uint8_t* p, const TcpRoute& route,
+                             const TcpSegmentSpec& s);
+
+/// The segment writer both tiers transmit through: allocate a tx buffer
+/// on `link`, copy the payload, fill both headers and the checksum,
+/// charge the send (data/SYN/FIN) or ACK overhead, and transmit. A first
+/// transmission also pays the payload store and a charged checksum pass;
+/// retransmits and RSTs compute their checksum for free (DESIGN §7c).
+/// The bytes `s.payload` views must live until the returned Sub is
+/// awaited: the copy happens when it starts.
+sim::Sub<bool> send_tcp_segment(Link& link, TcpRoute route, TcpSegmentSpec s,
+                                bool first_tx);
+
+/// A RST at `seq` (carrying `ack` when `with_ack`): the answer to a
+/// segment no connection state accepts.
+inline sim::Sub<bool> send_tcp_rst(Link& link, const TcpRoute& route,
+                                   std::uint32_t seq, std::uint32_t ack,
+                                   bool with_ack, std::uint16_t ident) {
+  TcpFlags flags;
+  flags.rst = true;
+  flags.ack = with_ack;
+  return send_tcp_segment(link, route, {seq, ack, flags, 0, {}, ident},
+                          /*first_tx=*/false);
+}
 
 }  // namespace ash::proto

@@ -1,7 +1,6 @@
 #include "proto/tcp_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/memops.hpp"
 #include "sim/node.hpp"
@@ -10,8 +9,6 @@
 namespace ash::proto {
 
 namespace {
-constexpr std::uint32_t kSegHdrLen =
-    static_cast<std::uint32_t>(kIpHeaderLen + kTcpHeaderLen);
 // Cap the pure-ACK debt per flow: beyond this the extra dup-ACKs carry
 // no more information (fast retransmit triggers at three).
 constexpr std::uint32_t kMaxAcksOwed = 4;
@@ -63,10 +60,8 @@ TcpEngine::Tcb& TcpEngine::create_tcb(const FlowKey& key, Callbacks cbs) {
   t.snd_una = iss;
   t.peer_wnd = cfg_.window;
   t.last_adv_wnd = cfg_.rcv_limit;
-  t.rtt = RttEstimator(cfg_.rto, std::min(cfg_.min_rto, cfg_.rto),
-                       cfg_.max_rto);
-  t.rto_cur = cfg_.rto;
-  t.cc.reset(cfg_.mss, cfg_.window);
+  t.tx = TcpSender(cfg_.rto, cfg_.min_rto, cfg_.max_rto, cfg_.mss,
+                   cfg_.window);
   shards_[shard].emplace(key, std::move(tcb));
   by_id_.emplace(t.id, &t);
   return t;
@@ -75,14 +70,11 @@ TcpEngine::Tcb& TcpEngine::create_tcb(const FlowKey& key, Callbacks cbs) {
 void TcpEngine::destroy_tcb(Tcb& t) {
   if (t.dead) return;
   t.dead = true;
-  cancel_timer(t.retx_timer);
-  cancel_timer(t.persist_timer);
-  cancel_timer(t.timewait_timer);
+  t.tx.drop(wheel_);
   if (t.listener != nullptr && t.state == TcpState::SynRcvd) {
     --t.listener->pending;
   }
   t.state = TcpState::Closed;
-  t.retx.clear();
   t.sndbuf.clear();
   t.ooo.clear();
   dead_.push_back(t.id);
@@ -114,49 +106,31 @@ void TcpEngine::mark_dirty(Tcb& t) {
 
 // --------------------------------------------------------------- timers
 
-void TcpEngine::cancel_timer(sim::TimerWheel::Id& id) {
-  if (id != 0) {
-    wheel_.cancel(id);
-    id = 0;
-  }
-}
-
-void TcpEngine::arm_retx_timer(Tcb& t) {
-  cancel_timer(t.retx_timer);
-  if (t.retx.empty()) return;
-  t.retx_timer = wheel_.arm(link_.self().node().now() + t.rto_cur,
-                            cookie(t, kTimerRetx));
-}
-
 void TcpEngine::service_timers() {
   std::vector<sim::TimerWheel::Expired> fired;
   wheel_.advance(link_.self().node().now(), fired);
   for (const auto& e : fired) {
     const auto id = static_cast<ConnId>(e.cookie >> 2);
-    const auto kind = static_cast<TimerKind>(e.cookie & 3);
+    const auto kind = static_cast<TcpTimerKind>(e.cookie & 3);
     const auto it = by_id_.find(id);
     if (it == by_id_.end() || it->second->dead) continue;
     Tcb& t = *it->second;
     switch (kind) {
       case kTimerRetx:
-        t.retx_timer = 0;
-        if (t.retx.empty()) break;
+        if (!t.tx.on_rto(t.snd_nxt - t.snd_una)) break;
         ++stats_.rto_timeouts;
-        t.cc.on_timeout(t.snd_nxt - t.snd_una);
-        t.rto_cur = std::min(t.rto_cur * 2, cfg_.max_rto);
-        t.dup_acks = 0;
         t.retx_fired = true;
         mark_dirty(t);
         break;
       case kTimerPersist:
-        t.persist_timer = 0;
+        t.tx.persist_timer = 0;
         t.persist_fire = true;
         mark_dirty(t);
         break;
       case kTimerTimeWait:
         // 2MSL expiry, or the FIN_WAIT_2 give-up for a peer that never
         // sent its FIN. Either way the flow is done.
-        t.timewait_timer = 0;
+        t.tx.timewait_timer = 0;
         destroy_tcb(t);
         break;
     }
@@ -401,75 +375,24 @@ void TcpEngine::handle_syn(const FlowKey& key, const TcpHeader& tcp) {
   mark_dirty(t);
 }
 
-void TcpEngine::process_rst(Tcb& t, const TcpHeader& tcp) {
-  bool acceptable = false;
-  switch (t.state) {
-    case TcpState::Closed:
-      return;
-    case TcpState::SynSent:
-      acceptable = tcp.flags.ack && tcp.ack == t.snd_nxt;
-      break;
-    case TcpState::TimeWait:
-      ++stats_.rsts_ignored;  // RFC 1337
-      return;
-    default: {
-      const std::uint32_t wnd = std::max(adv_window(t), 1u);
-      acceptable =
-          seq_le(t.rcv_nxt, tcp.seq) && seq_lt(tcp.seq, t.rcv_nxt + wnd);
-      break;
-    }
-  }
-  if (acceptable) {
-    ++stats_.rsts_received;
-    abort_flow(t, /*rst_peer=*/false);
-  } else {
-    ++stats_.rsts_ignored;
-  }
-}
-
 void TcpEngine::process_ack(Tcb& t, const TcpHeader& tcp,
                             std::uint32_t plen) {
-  sim::Node& node = link_.self().node();
-  const std::uint32_t una_before = t.snd_una;
-  if (seq_lt(una_before, tcp.ack) && seq_le(tcp.ack, t.snd_nxt)) {
+  const AckVerdict ack =
+      t.tx.on_ack(tcp, plen, t.snd_una, t.snd_nxt,
+                  t.state == TcpState::Established, wheel_,
+                  link_.self().node().now(), cookie(t, kTimerRetx));
+  if (ack == AckVerdict::kNewData) {
     t.snd_una = tcp.ack;
-    bool popped = false;
-    while (!t.retx.empty()) {
-      const RetxSegment& seg = t.retx.front();
-      const std::uint32_t consumed =
-          static_cast<std::uint32_t>(seg.payload.size()) +
-          ((seg.flags.syn || seg.flags.fin) ? 1 : 0);
-      if (seq_le(seg.seq + consumed, tcp.ack)) {
-        t.retx.pop_front();
-        popped = true;
-      } else {
-        break;
-      }
-    }
-    if (popped || t.retx.empty()) arm_retx_timer(t);
-    t.cc.on_ack(tcp.ack - una_before);
-    t.dup_acks = 0;
-    if (t.rtt_pending && seq_le(t.rtt_seq, tcp.ack)) {
-      t.rtt.sample(node.now() - t.rtt_sent_at);
-      t.rtt_pending = false;
-    }
-    t.rto_cur = t.rtt.rto();  // fresh ACK resets any backoff
     if (!t.sndbuf.empty() || t.fin_pending) mark_dirty(t);
-  } else if (tcp.ack == una_before && plen == 0 && !tcp.flags.syn &&
-             !tcp.flags.fin && seq_lt(una_before, t.snd_nxt) &&
-             t.state == TcpState::Established) {
-    if (++t.dup_acks == 3) {
-      t.dup_acks = 0;
-      t.cc.on_fast_retransmit(t.snd_nxt - una_before);
-      ++stats_.fast_retransmits;
-      t.fast_retx_pending = true;
-      mark_dirty(t);
-    }
+  } else if (ack == AckVerdict::kFastRetransmit) {
+    ++stats_.fast_retransmits;
+    t.fast_retx_pending = true;
+    mark_dirty(t);
   }
   if (seq_le(tcp.ack, t.snd_nxt)) {
     t.peer_wnd = tcp.window;
     if (t.peer_wnd > 0) {
-      cancel_timer(t.persist_timer);
+      cancel_timer(wheel_, t.tx.persist_timer);
       t.persist_fire = false;
       if (!t.sndbuf.empty() || t.fin_pending) mark_dirty(t);
     }
@@ -493,22 +416,16 @@ void TcpEngine::process_data(Tcb& t, const TcpHeader& tcp,
       t.rcv_nxt += plen;
       // Network-buffer-to-socket-buffer copy, charged per word like the
       // library's staging append.
-      for (std::uint32_t off = 0; off < plen; off += 4) {
-        *cycles += node.cost().copy_loop_insns_per_word;
-      }
+      *cycles += (plen + 3) / 4 * node.cost().copy_loop_insns_per_word;
       // Anything now contiguous in the OOO store rides along.
       if (cfg_.reassemble) {
-        const bool more = t.ooo.contiguous_at(t.rcv_nxt);
-        if (more) {
-          std::vector<std::uint8_t> run =
-              t.ooo.pop_contiguous(t.rcv_nxt, adv_window(t));
-          t.rcvbuf.insert(t.rcvbuf.end(), run.begin(), run.end());
-          t.rcv_nxt += static_cast<std::uint32_t>(run.size());
-          stats_.ooo_reassembled += run.size();
-          for (std::uint32_t off = 0; off < run.size(); off += 4) {
-            *cycles += node.cost().copy_loop_insns_per_word;
-          }
-        }
+        const std::vector<std::uint8_t> run =
+            t.ooo.pop_contiguous(t.rcv_nxt, adv_window(t));
+        const auto len = static_cast<std::uint32_t>(run.size());
+        t.rcvbuf.insert(t.rcvbuf.end(), run.begin(), run.end());
+        t.rcv_nxt += len;
+        stats_.ooo_reassembled += len;
+        *cycles += (len + 3) / 4 * node.cost().copy_loop_insns_per_word;
       }
       if (t.acks_owed == 0) t.acks_owed = 1;
       mark_dirty(t);
@@ -555,24 +472,17 @@ void TcpEngine::enter_established(Tcb& t) {
   if (t.cbs.on_established) t.cbs.on_established(t.id);
 }
 
-void TcpEngine::enter_time_wait(Tcb& t) {
-  cancel_timer(t.retx_timer);
-  cancel_timer(t.persist_timer);
-  cancel_timer(t.timewait_timer);
-  t.state = TcpState::TimeWait;
-  t.timewait_timer = wheel_.arm(
-      link_.self().node().now() + cfg_.time_wait, cookie(t, kTimerTimeWait));
-}
-
 void TcpEngine::maybe_finish_close(Tcb& t) {
   if (!t.fin_sent || t.snd_una != t.snd_nxt) return;
   if (t.state == TcpState::FinSent) {
     if (t.peer_fin) {
-      enter_time_wait(t);
-    } else if (t.timewait_timer == 0) {
+      t.tx.enter_time_wait(wheel_, link_.self().node().now() + cfg_.time_wait,
+                           cookie(t, kTimerTimeWait));
+      t.state = TcpState::TimeWait;
+    } else if (t.tx.timewait_timer == 0) {
       // FIN_WAIT_2: our side is done; give the peer a bounded window to
       // send its FIN before the flow is reclaimed.
-      t.timewait_timer =
+      t.tx.timewait_timer =
           wheel_.arm(link_.self().node().now() + cfg_.fin_wait,
                      cookie(t, kTimerTimeWait));
     }
@@ -587,7 +497,10 @@ void TcpEngine::process_segment(Tcb& t, const TcpHeader& tcp,
   const auto plen = static_cast<std::uint32_t>(payload.size());
 
   if (tcp.flags.rst) {
-    process_rst(t, tcp);
+    if (count_rst(stats_, rst_verdict(t.state, tcp, t.snd_nxt, t.rcv_nxt,
+                                      adv_window(t)))) {
+      abort_flow(t, /*rst_peer=*/false);
+    }
     return;
   }
 
@@ -608,7 +521,7 @@ void TcpEngine::process_segment(Tcb& t, const TcpHeader& tcp,
       if (tcp.flags.syn) {
         // Retransmitted SYN: our SYN/ACK was lost; resend it.
         ++stats_.dup_segments;
-        if (!t.retx.empty()) {
+        if (!t.tx.retx.empty()) {
           t.fast_retx_pending = true;
           mark_dirty(t);
         } else {
@@ -629,8 +542,8 @@ void TcpEngine::process_segment(Tcb& t, const TcpHeader& tcp,
       // challenge ACK.
       if (tcp.flags.fin) {
         ++stats_.dup_segments;
-        cancel_timer(t.timewait_timer);
-        t.timewait_timer =
+        cancel_timer(wheel_, t.tx.timewait_timer);
+        t.tx.timewait_timer =
             wheel_.arm(link_.self().node().now() + cfg_.time_wait,
                        cookie(t, kTimerTimeWait));
       } else {
@@ -691,155 +604,36 @@ void TcpEngine::process_segment(Tcb& t, const TcpHeader& tcp,
 sim::Sub<bool> TcpEngine::send_flow(Tcb& t, TcpFlags flags,
                                     std::span<const std::uint8_t> payload,
                                     bool queue_retx) {
-  sim::Node& node = link_.self().node();
-  const auto plen = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t total = kSegHdrLen + plen;
-  const std::uint32_t pkt = link_.tx_alloc_ip(total);
-  std::uint8_t* p = node.mem(pkt, total);
-
   const std::uint32_t seq = t.snd_nxt;
-  sim::Cycles cycles = plen > 0 || flags.syn || flags.fin
-                           ? node.cost().tcp_send_overhead
-                           : node.cost().tcp_ack_overhead;
-  if (plen > 0) {
-    std::memcpy(p + kSegHdrLen, payload.data(), plen);
-    cycles += sim::memops::stage_store_cycles(node, pkt + kSegHdrLen, plen);
-  }
-
-  TcpHeader tcp;
-  tcp.src_port = t.key.local_port;
-  tcp.dst_port = t.key.remote_port;
-  tcp.seq = seq;
-  tcp.ack = flags.ack ? t.rcv_nxt : 0;
-  tcp.flags = flags;
-  tcp.window = static_cast<std::uint16_t>(
-      std::min<std::uint32_t>(adv_window(t), 0xffff));
-  tcp.checksum = 0;
-  encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  t.last_adv_wnd = adv_window(t);
-
-  if (cfg_.checksum) {
-    std::uint32_t sum = 0;
-    cycles += node.cost().udp_cksum_setup;
-    cycles += sim::memops::cksum(node, pkt + kIpHeaderLen,
-                                 kTcpHeaderLen + plen, &sum);
-    tcp.checksum = checksum_field(transport_sum_le(
-        cfg_.local_ip, t.key.remote_ip, kIpProtoTcp,
-        static_cast<std::uint16_t>(kTcpHeaderLen + plen), sum));
-    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  }
-
-  IpHeader ip;
-  ip.protocol = kIpProtoTcp;
-  ip.src = cfg_.local_ip;
-  ip.dst = t.key.remote_ip;
-  ip.total_len = static_cast<std::uint16_t>(total);
-  ip.ident = t.next_ident++;
-  encode_ip({p, kIpHeaderLen}, ip);
-
-  const std::uint32_t consumed = plen + ((flags.syn || flags.fin) ? 1 : 0);
+  const std::uint32_t consumed = seq_space(flags, payload.size());
   t.snd_nxt = seq + consumed;
-
   if (queue_retx && consumed > 0) {
-    t.retx.push_back(RetxSegment{
-        seq, std::vector<std::uint8_t>(payload.begin(), payload.end()),
-        flags, 0});
-    if (t.retx_timer == 0) arm_retx_timer(t);
-    if (!t.rtt_pending) {
-      t.rtt_pending = true;
-      t.rtt_seq = seq + consumed;
-      t.rtt_sent_at = node.now();
-    }
+    t.tx.on_send(seq, flags, payload, wheel_, link_.self().node().now(),
+                 cookie(t, kTimerRetx));
   }
   ++stats_.segments_out;
-  if (plen == 0 && !flags.syn && !flags.fin) ++stats_.acks_sent;
-
-  co_await link_.self().compute(cycles);
-  const bool sent = co_await link_.send_ip(pkt, total);
-  co_return sent;
+  if (payload.empty() && !flags.syn && !flags.fin) ++stats_.acks_sent;
+  t.last_adv_wnd = adv_window(t);
+  return send_tcp_segment(link_, route(t.key),
+                          {seq, t.rcv_nxt, flags, t.last_adv_wnd, payload,
+                           t.next_ident++},
+                          /*first_tx=*/true);
 }
 
 sim::Sub<bool> TcpEngine::resend_front(Tcb& t) {
-  if (t.retx.empty()) co_return true;
-  RetxSegment& seg = t.retx.front();
-  const bool count_retry = t.retx_fired;
-  if (count_retry && ++seg.retries > cfg_.max_retries) {
+  if (t.tx.retx.empty()) co_return true;
+  const RetxSegment* seg = t.tx.next_resend(t.retx_fired, cfg_.max_retries);
+  if (seg == nullptr) {
     abort_flow(t, /*rst_peer=*/false);
     co_return false;
   }
   ++stats_.retransmits;
-  t.rtt_pending = false;  // Karn: never time a retransmitted flight
-
-  sim::Node& node = link_.self().node();
-  const auto plen = static_cast<std::uint32_t>(seg.payload.size());
-  const std::uint32_t total = kSegHdrLen + plen;
-  const std::uint32_t pkt = link_.tx_alloc_ip(total);
-  std::uint8_t* p = node.mem(pkt, total);
-  if (plen > 0) std::memcpy(p + kSegHdrLen, seg.payload.data(), plen);
-
-  TcpHeader tcp;
-  tcp.src_port = t.key.local_port;
-  tcp.dst_port = t.key.remote_port;
-  tcp.seq = seg.seq;
-  tcp.ack = seg.flags.ack ? t.rcv_nxt : 0;
-  tcp.flags = seg.flags;
-  tcp.window = static_cast<std::uint16_t>(
-      std::min<std::uint32_t>(adv_window(t), 0xffff));
-  tcp.checksum = 0;
-  encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  if (cfg_.checksum) {
-    tcp.checksum = transport_checksum(
-        cfg_.local_ip, t.key.remote_ip, kIpProtoTcp,
-        {p + kIpHeaderLen, kTcpHeaderLen + plen});
-    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  }
-  IpHeader ip;
-  ip.protocol = kIpProtoTcp;
-  ip.src = cfg_.local_ip;
-  ip.dst = t.key.remote_ip;
-  ip.total_len = static_cast<std::uint16_t>(total);
-  ip.ident = t.next_ident++;
-  encode_ip({p, kIpHeaderLen}, ip);
-
   ++stats_.segments_out;
-  co_await link_.self().compute(node.cost().tcp_send_overhead);
-  co_await link_.send_ip(pkt, total);
+  co_await send_tcp_segment(link_, route(t.key),
+                            {seg->seq, t.rcv_nxt, seg->flags, adv_window(t),
+                             seg->payload, t.next_ident++},
+                            /*first_tx=*/false);
   co_return true;
-}
-
-sim::Sub<void> TcpEngine::send_raw_rst(const RawRst& r) {
-  sim::Node& node = link_.self().node();
-  const std::uint32_t pkt = link_.tx_alloc_ip(kSegHdrLen);
-  std::uint8_t* p = node.mem(pkt, kSegHdrLen);
-
-  TcpHeader tcp;
-  tcp.src_port = r.key.local_port;
-  tcp.dst_port = r.key.remote_port;
-  tcp.seq = r.seq;
-  tcp.ack = r.with_ack ? r.ack : 0;
-  tcp.flags.rst = true;
-  tcp.flags.ack = r.with_ack;
-  tcp.window = 0;
-  tcp.checksum = 0;
-  encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  if (cfg_.checksum) {
-    tcp.checksum =
-        transport_checksum(cfg_.local_ip, r.key.remote_ip, kIpProtoTcp,
-                           {p + kIpHeaderLen, kTcpHeaderLen});
-    encode_tcp({p + kIpHeaderLen, kTcpHeaderLen}, tcp);
-  }
-  IpHeader ip;
-  ip.protocol = kIpProtoTcp;
-  ip.src = cfg_.local_ip;
-  ip.dst = r.key.remote_ip;
-  ip.total_len = static_cast<std::uint16_t>(kSegHdrLen);
-  ip.ident = 0;
-  encode_ip({p, kIpHeaderLen}, ip);
-
-  ++stats_.rsts_sent;
-  ++stats_.segments_out;
-  co_await link_.self().compute(node.cost().tcp_ack_overhead);
-  co_await link_.send_ip(pkt, kSegHdrLen);
 }
 
 sim::Sub<void> TcpEngine::pump_tcb(Tcb& t) {
@@ -869,7 +663,8 @@ sim::Sub<void> TcpEngine::pump_tcb(Tcb& t) {
     t.fast_retx_pending = false;
     t.retx_fired = false;
     if (!alive) co_return;
-    arm_retx_timer(t);
+    t.tx.arm_retx_timer(wheel_, link_.self().node().now(),
+                        cookie(t, kTimerRetx));
   }
 
   // Data, segmented at the MSS under min(peer window, cwnd).
@@ -878,7 +673,7 @@ sim::Sub<void> TcpEngine::pump_tcb(Tcb& t) {
          (t.state == TcpState::Established ||
           t.state == TcpState::CloseWait)) {
     const std::uint32_t in_flight = t.snd_nxt - t.snd_una;
-    const std::uint32_t wnd = std::min(t.peer_wnd, t.cc.cwnd());
+    const std::uint32_t wnd = std::min(t.peer_wnd, t.tx.cc.cwnd());
     if (wnd <= in_flight) break;
     const std::uint32_t n = std::min<std::uint32_t>(
         {wnd - in_flight, cfg_.mss,
@@ -912,9 +707,9 @@ sim::Sub<void> TcpEngine::pump_tcb(Tcb& t) {
       const bool sent =
           co_await send_flow(t, f, {&probe, 1}, /*queue_retx=*/true);
       (void)sent;
-    } else if (t.persist_timer == 0) {
-      t.persist_timer = wheel_.arm(
-          link_.self().node().now() + t.rto_cur, cookie(t, kTimerPersist));
+    } else if (t.tx.persist_timer == 0) {
+      t.tx.persist_timer = wheel_.arm(
+          link_.self().node().now() + t.tx.rto_cur, cookie(t, kTimerPersist));
     }
   }
 
@@ -949,7 +744,10 @@ sim::Sub<void> TcpEngine::flush() {
     std::vector<RawRst> rsts;
     rsts.swap(raw_rsts_);
     for (const RawRst& r : rsts) {
-      co_await send_raw_rst(r);
+      ++stats_.rsts_sent;
+      ++stats_.segments_out;
+      co_await send_tcp_rst(link_, route(r.key), r.seq, r.ack, r.with_ack,
+                            /*ident=*/0);
     }
     std::vector<ConnId> work;
     work.swap(dirty_);

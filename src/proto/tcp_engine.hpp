@@ -22,10 +22,15 @@
 //    a real host (the library's connections predate their peer's first
 //    segment, so it could afford silence — a listener cannot).
 //
-// Protocol behaviour (RFC 6298 adaptive RTO with backoff, RFC 5681
-// congestion window + dup-ACK fast retransmit, RST validation,
-// TIME_WAIT, out-of-order reassembly, zero-window persist probes)
-// reuses the exact primitives TcpConnection does (tcp_control.hpp).
+// The sender half is TcpConnection's own code (tcp_control.hpp):
+// TcpSender's retransmit queue, RFC 6298 adaptive RTO with backoff, RFC
+// 5681 congestion window and dup-ACK fast retransmit, the RST verdict,
+// TIME_WAIT entry, the counters and the one segment writer. What stays
+// here is the engine's shape: state mutation while parsing and one
+// deferred flush per step, the host-side rcvbuf receive path with
+// out-of-order reassembly against its free space, SYN_RCVD SYN
+// retransmission, the FIN_WAIT_2 give-up timer and zero-window persist
+// probes (DESIGN §7c).
 #pragma once
 
 #include <cstdint>
@@ -126,31 +131,14 @@ class TcpEngine {
     std::uint64_t backlog_drops = 0;  // SYNs dropped at full backlog
   };
 
-  struct Stats {
-    std::uint64_t segments_in = 0;
+  struct Stats : TcpCounters {
     std::uint64_t segments_out = 0;
-    std::uint64_t acks_sent = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t fast_retransmits = 0;
-    std::uint64_t rto_timeouts = 0;
-    std::uint64_t dup_segments = 0;
-    std::uint64_t ooo_buffered = 0;
-    std::uint64_t ooo_reassembled = 0;
-    std::uint64_t ooo_dropped = 0;
-    std::uint64_t rsts_received = 0;
-    std::uint64_t rsts_ignored = 0;
-    std::uint64_t rsts_sent = 0;
-    std::uint64_t persist_probes = 0;
-    std::uint64_t window_updates = 0;
-    std::uint64_t cksum_failures = 0;
-    std::uint64_t aborts = 0;
     std::uint64_t conns_opened = 0;    // active opens issued
     std::uint64_t conns_accepted = 0;  // passive opens established
     std::uint64_t conns_closed = 0;    // TCBs destroyed (any cause)
     std::uint64_t syn_backlog_drops = 0;
     std::uint64_t unknown_flow_rsts = 0;
     std::uint64_t rcv_overflow_drops = 0;  // in-order but rcvbuf full
-    std::uint64_t timewait_drops = 0;
   };
 
   TcpEngine(Link& link, const Config& config);
@@ -213,19 +201,6 @@ class TcpEngine {
   std::vector<std::size_t> shard_sizes() const;
 
  private:
-  struct RetxSegment {
-    std::uint32_t seq = 0;
-    std::vector<std::uint8_t> payload;
-    TcpFlags flags;
-    int retries = 0;
-  };
-
-  enum TimerKind : std::uint64_t {
-    kTimerRetx = 0,
-    kTimerPersist = 1,
-    kTimerTimeWait = 2,  // also the FIN_WAIT_2 give-up
-  };
-
   struct Tcb {
     ConnId id = 0;
     FlowKey key;
@@ -243,20 +218,8 @@ class TcpEngine {
 
     std::deque<std::uint8_t> sndbuf;  // queued, not yet segmented
     std::deque<std::uint8_t> rcvbuf;  // in-order, not yet read
-    std::deque<RetxSegment> retx;
     OooBuffer ooo;
-
-    RttEstimator rtt;
-    CongestionWindow cc;
-    sim::Cycles rto_cur = 0;
-    std::uint32_t dup_acks = 0;
-    bool rtt_pending = false;
-    std::uint32_t rtt_seq = 0;
-    sim::Cycles rtt_sent_at = 0;
-
-    sim::TimerWheel::Id retx_timer = 0;
-    sim::TimerWheel::Id persist_timer = 0;
-    sim::TimerWheel::Id timewait_timer = 0;
+    TcpSender tx;  // retransmission, RTO, congestion window, timers
 
     bool syn_queued = false;      // active open: SYN not yet sent
     bool synack_queued = false;   // passive open: SYN/ACK not yet sent
@@ -287,11 +250,13 @@ class TcpEngine {
   void reap_dead();
   void mark_dirty(Tcb& t);
 
-  std::uint64_t cookie(const Tcb& t, TimerKind kind) const {
+  std::uint64_t cookie(const Tcb& t, TcpTimerKind kind) const {
     return (static_cast<std::uint64_t>(t.id) << 2) | kind;
   }
-  void cancel_timer(sim::TimerWheel::Id& id);
-  void arm_retx_timer(Tcb& t);
+  TcpRoute route(const FlowKey& key) const {
+    return {cfg_.local_ip, key.remote_ip, key.local_port, key.remote_port,
+            cfg_.checksum};
+  }
 
   std::uint32_t adv_window(const Tcb& t) const;
   std::uint32_t ooo_limit() const {
@@ -304,14 +269,12 @@ class TcpEngine {
   void process_segment(Tcb& t, const TcpHeader& tcp,
                        std::span<const std::uint8_t> payload,
                        sim::Cycles* cycles);
-  void process_rst(Tcb& t, const TcpHeader& tcp);
   void process_ack(Tcb& t, const TcpHeader& tcp, std::uint32_t plen);
   void process_data(Tcb& t, const TcpHeader& tcp,
                     std::span<const std::uint8_t> payload,
                     sim::Cycles* cycles);
   void handle_syn(const FlowKey& key, const TcpHeader& tcp);
   void enter_established(Tcb& t);
-  void enter_time_wait(Tcb& t);
   void maybe_finish_close(Tcb& t);
   void abort_flow(Tcb& t, bool rst_peer);
   void signal_readable(Tcb& t);
@@ -319,6 +282,9 @@ class TcpEngine {
   void service_timers();
   sim::Sub<void> flush();
   sim::Sub<void> pump_tcb(Tcb& t);
+  /// Transmit one new segment at snd_nxt; queued for retransmission
+  /// when `queue_retx` and it carries data or SYN/FIN. The sender state
+  /// moves at the call; await the result at once.
   sim::Sub<bool> send_flow(Tcb& t, TcpFlags flags,
                            std::span<const std::uint8_t> payload,
                            bool queue_retx);
@@ -331,7 +297,6 @@ class TcpEngine {
     std::uint32_t ack = 0;
     bool with_ack = false;
   };
-  sim::Sub<void> send_raw_rst(const RawRst& r);
 
   Link& link_;
   Config cfg_;
