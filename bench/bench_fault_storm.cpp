@@ -78,7 +78,7 @@ StormResult run_config(bool storm, bool supervise) {
     std::string error;
     healthy_id =
         ash_sys.download(self, ashlib::make_remote_increment(), {}, &error);
-    ash_sys.attach_an2(*w.dev_b, vc, healthy_id,
+    ash_sys.attach(*w.dev_b, vc, healthy_id,
                        self.segment().base + 0x8000);
     while (self.node().now() < us(kDeadlineUs)) {
       co_await self.sleep_for(us(50000.0));
@@ -95,7 +95,7 @@ StormResult run_config(bool storm, bool supervise) {
     }
     std::string error;
     evil_id = ash_sys.download(self, evil_handler(), {}, &error);
-    ash_sys.attach_an2(*w.dev_b, evil_vc, evil_id);
+    ash_sys.attach(*w.dev_b, evil_vc, evil_id);
     while (self.node().now() < us(kDeadlineUs)) {
       co_await self.sleep_for(us(50000.0));
     }

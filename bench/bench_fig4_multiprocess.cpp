@@ -63,7 +63,7 @@ double rtt_us(Mode mode, int competing) {
       std::string error;
       const int id = ash_sys.download(self, ashlib::make_remote_increment(),
                                       {}, &error);
-      ash_sys.attach_an2(*w.dev_b, vc, id, self.segment().base + 0x4000);
+      ash_sys.attach(*w.dev_b, vc, id, self.segment().base + 0x4000);
       while (!done) co_await self.sleep_for(us(2000.0));
       co_return;
     }
@@ -129,7 +129,7 @@ void livelock_ablation() {
       std::string error;
       ash_id = ash_sys.download(self, ashlib::make_remote_increment(), {},
                                 &error);
-      ash_sys.attach_an2(*w.dev_b, vc, ash_id, self.segment().base + 0x4000);
+      ash_sys.attach(*w.dev_b, vc, ash_id, self.segment().base + 0x4000);
       // Drain the fallback ring so deferred messages do not starve buffers.
       for (;;) {
         while (w.dev_b->poll(vc).has_value()) {

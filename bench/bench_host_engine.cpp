@@ -156,12 +156,14 @@ TcpFixture* build_tcp_fixture() {
     f->owner_base = self.segment().base;
     f->owner_size = self.segment().size;
 
-    // Re-wrap the attach hook: same invocation as AshSystem::attach_an2,
-    // plus a pre-invoke TCB snapshot so the first committing data segment
-    // can be replayed later.
+    // Re-wrap the attach hook: same invocation as AshSystem::attach's
+    // inline path, plus a pre-invoke TCB snapshot so the first committing
+    // data segment can be replayed later. The attach's frame hook would
+    // take priority over this per-frame hook, so it goes first.
     net::An2Device* dev = f->dev_b.get();
     core::AshSystem* sys = f->ash_b.get();
     const sim::Cycles txc = dev->config().tx_kernel_work;
+    dev->clear_kernel_hooks(link.vc());
     dev->set_kernel_hook(
         link.vc(), [f, dev, sys, txc](const net::An2Device::RxEvent& ev) {
           std::array<std::uint32_t, proto::tcb::kWords> pre{};

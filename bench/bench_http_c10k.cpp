@@ -107,205 +107,229 @@ struct RegimeResult {
   std::uint64_t ooo_dropped = 0;
 };
 
+// State one regime's server and client processes share. The two process
+// bodies are named coroutine functions over this struct rather than
+// capturing lambdas: GCC 12.2 has crashed compiling the capturing
+// coroutine-lambda form of this file.
+struct RegimeRun {
+  const RegimeSpec& spec;
+  std::size_t conns;
+  std::uint32_t body_len;
+  net::An2Device& server_dev;
+  net::An2Device& client_dev;
+  sim::Cycles budget = us(30e6);
+  bool server_done = false;
+  TcpEngine* server_eng = nullptr;
+  RegimeResult res{};
+};
+
+// ---- server: one engine, one listener, canned response ----
+Task serve(Process& self, RegimeRun& run) {
+  const RegimeSpec& spec = run.spec;
+  const std::uint32_t body_len = run.body_len;
+  An2Link link(self, run.server_dev, link_cfg());
+  TcpEngine eng(link, engine_cfg(kServerIp, spec.reassemble));
+  run.server_eng = &eng;
+
+  const std::vector<std::uint8_t> body(body_len, 'x');
+  const std::string wire =
+      proto::http_format_response(std::string("/obj"), body);
+  std::unordered_map<TcpEngine::ConnId, std::string> reqs;
+
+  TcpEngine::ListenConfig lc;
+  lc.backlog = 1024;
+  lc.callbacks.on_readable = [&](TcpEngine::ConnId id) {
+    std::string& acc = reqs[id];
+    std::uint8_t buf[512];
+    for (;;) {
+      const std::size_t n = eng.read(id, buf, sizeof buf);
+      if (n == 0) break;
+      acc.append(reinterpret_cast<const char*>(buf), n);
+    }
+    if (!proto::http_request_complete(acc)) return;
+    eng.write(id, {reinterpret_cast<const std::uint8_t*>(wire.data()),
+                   wire.size()});
+    eng.close(id);
+    reqs.erase(id);
+  };
+  lc.callbacks.on_closed = [&](TcpEngine::ConnId id) { reqs.erase(id); };
+  eng.listen(80, lc);
+
+  co_await eng.run(run.server_done, self.node().now() + run.budget);
+  run.server_eng = nullptr;
+}
+
+// ---- clients: one engine, `conns` flows ----
+Task drive_clients(Process& self, RegimeRun& run) {
+  const RegimeSpec& spec = run.spec;
+  const std::size_t conns = run.conns;
+  const std::uint32_t body_len = run.body_len;
+  const sim::Cycles budget = run.budget;
+  RegimeResult& res = run.res;
+  An2Link link(self, run.client_dev, link_cfg());
+  TcpEngine eng(link, engine_cfg(kClientIp, spec.reassemble));
+
+  enum Phase : std::uint8_t { Opening, Open, Requested, Done, Dead };
+  std::vector<TcpEngine::ConnId> ids(conns, 0);
+  std::vector<Phase> phase(conns, Opening);
+  std::vector<sim::Cycles> t_start(conns, 0);
+  std::vector<sim::Cycles> latency;
+  std::vector<std::string> resp(conns);
+  std::unordered_map<TcpEngine::ConnId, std::size_t> idx;
+  std::size_t established = 0, failed = 0, resp_done = 0,
+              outstanding = 0;
+  std::uint64_t good_bytes = 0;
+  sim::Cycles t_last_resp = 0;
+
+  TcpEngine::Callbacks cbs;
+  cbs.on_established = [&](TcpEngine::ConnId id) {
+    const std::size_t i = idx[id];
+    if (phase[i] == Opening) {
+      phase[i] = Open;
+      ++established;
+    }
+  };
+  cbs.on_readable = [&](TcpEngine::ConnId id) {
+    const std::size_t i = idx[id];
+    if (phase[i] != Requested) return;
+    std::uint8_t buf[2048];
+    for (;;) {
+      const std::size_t n = eng.read(id, buf, sizeof buf);
+      if (n == 0) break;
+      resp[i].append(reinterpret_cast<const char*>(buf), n);
+    }
+    if (!eng.at_eof(id)) return;
+    const auto r = proto::http_parse_response(resp[i]);
+    phase[i] = Done;
+    ++resp_done;
+    --outstanding;
+    if (r.has_value() && r->status == 200 &&
+        r->body.size() == body_len) {
+      ++res.responses_ok;
+      good_bytes += r->body.size();
+      latency.push_back(self.node().now() - t_start[i]);
+      t_last_resp = self.node().now();
+    }
+    resp[i].clear();
+    resp[i].shrink_to_fit();
+    eng.close(id);
+  };
+  cbs.on_closed = [&](TcpEngine::ConnId id) {
+    const std::size_t i = idx[id];
+    if (phase[i] == Opening) {
+      ++failed;
+    } else if (phase[i] == Requested) {
+      ++failed;
+      --outstanding;  // torn down before the response completed
+    }
+    if (phase[i] != Done) phase[i] = Dead;
+  };
+
+  // Phase 1: open everything, paced.
+  const sim::Cycles t_open0 = self.node().now();
+  const sim::Cycles open_deadline = t_open0 + budget / 2;
+  std::size_t issued = 0;
+  while (established + failed < conns) {
+    if (self.node().now() >= open_deadline) break;
+    while (issued < conns &&
+           issued - established - failed < kOpenWindow) {
+      const auto port =
+          static_cast<std::uint16_t>(kBasePort + issued);
+      const TcpEngine::ConnId id =
+          eng.connect(kServerIp, 80, port, cbs);
+      if (id == 0) {
+        phase[issued] = Dead;
+        ++failed;
+      } else {
+        ids[issued] = id;
+        idx[id] = issued;
+      }
+      ++issued;
+    }
+    const bool got = co_await eng.step(us(200.0));
+    (void)got;
+  }
+  res.established = established;
+  res.open_seconds = sim::to_us(self.node().now() - t_open0) / 1e6;
+  res.conns_per_sec =
+      res.open_seconds > 0 ? established / res.open_seconds : 0;
+  // The moment of maximum concurrency: every client flow is up, none
+  // has begun closing. Read the server's table size directly.
+  res.server_peak =
+      run.server_eng != nullptr ? run.server_eng->open_connections() : 0;
+
+  // Phase 2: one GET per established connection, closed-loop.
+  const std::string get = proto::http_format_get("/obj");
+  const auto* get_p =
+      reinterpret_cast<const std::uint8_t*>(get.data());
+  const sim::Cycles t_req0 = self.node().now();
+  const sim::Cycles req_deadline = t_req0 + budget / 2;
+  std::size_t next = 0;
+  for (;;) {
+    if (self.node().now() >= req_deadline) break;
+    while (next < conns && outstanding < kReqWindow) {
+      if (phase[next] == Open) {
+        t_start[next] = self.node().now();
+        eng.write(ids[next], {get_p, get.size()});
+        phase[next] = Requested;
+        ++outstanding;
+      }
+      ++next;
+    }
+    if (next >= conns && outstanding == 0) break;
+    const bool got = co_await eng.step(us(200.0));
+    (void)got;
+  }
+
+  if (t_last_resp > t_req0) {
+    const double req_s = sim::to_us(t_last_resp - t_req0) / 1e6;
+    res.goodput_mbps = req_s > 0 ? good_bytes / req_s / 1e6 : 0;
+  }
+  std::sort(latency.begin(), latency.end());
+  if (!latency.empty()) {
+    res.p50_us = sim::to_us(latency[latency.size() / 2]);
+    res.p99_us = sim::to_us(latency[latency.size() * 99 / 100]);
+  }
+  res.retransmits = eng.stats().retransmits;
+  res.fast_retx = eng.stats().fast_retransmits;
+  res.rto_timeouts = eng.stats().rto_timeouts;
+  res.ooo_buffered = eng.stats().ooo_buffered;
+  res.ooo_reassembled = eng.stats().ooo_reassembled;
+  res.ooo_dropped = eng.stats().ooo_dropped;
+  if (run.server_eng != nullptr) {
+    res.retransmits += run.server_eng->stats().retransmits;
+    res.fast_retx += run.server_eng->stats().fast_retransmits;
+    res.rto_timeouts += run.server_eng->stats().rto_timeouts;
+    res.ooo_buffered += run.server_eng->stats().ooo_buffered;
+    res.ooo_reassembled += run.server_eng->stats().ooo_reassembled;
+    res.ooo_dropped += run.server_eng->stats().ooo_dropped;
+  }
+
+  // Drain our own teardown, then stop the server.
+  const sim::Cycles drain_until = self.node().now() + us(100000.0);
+  while (self.node().now() < drain_until) {
+    const bool got = co_await eng.step(us(5000.0));
+    (void)got;
+  }
+  run.server_done = true;
+}
+
 RegimeResult run_regime(const RegimeSpec& spec, std::size_t conns,
                         std::uint32_t body_len) {
   An2World w;
   w.dev_a->set_faults(spec.faults);
   w.dev_b->set_faults(spec.faults);
 
-  RegimeResult res;
-  res.conns = conns;
-
-  bool server_done = false;
-  TcpEngine* server_eng = nullptr;
-  const sim::Cycles budget = us(30e6);
-
-  // ---- server: one engine, one listener, canned response ----
-  w.a->kernel().spawn("httpd", [&](Process& self) -> Task {
-    An2Link link(self, *w.dev_a, link_cfg());
-    TcpEngine eng(link, engine_cfg(kServerIp, spec.reassemble));
-    server_eng = &eng;
-
-    const std::vector<std::uint8_t> body(body_len, 'x');
-    const std::string wire =
-        proto::http_format_response(std::string("/obj"), body);
-    std::unordered_map<TcpEngine::ConnId, std::string> reqs;
-
-    TcpEngine::ListenConfig lc;
-    lc.backlog = 1024;
-    lc.callbacks.on_readable = [&](TcpEngine::ConnId id) {
-      std::string& acc = reqs[id];
-      std::uint8_t buf[512];
-      for (;;) {
-        const std::size_t n = eng.read(id, buf, sizeof buf);
-        if (n == 0) break;
-        acc.append(reinterpret_cast<const char*>(buf), n);
-      }
-      if (!proto::http_request_complete(acc)) return;
-      eng.write(id, {reinterpret_cast<const std::uint8_t*>(wire.data()),
-                     wire.size()});
-      eng.close(id);
-      reqs.erase(id);
-    };
-    lc.callbacks.on_closed = [&](TcpEngine::ConnId id) { reqs.erase(id); };
-    eng.listen(80, lc);
-
-    co_await eng.run(server_done, self.node().now() + budget);
-    server_eng = nullptr;
+  RegimeRun run{spec, conns, body_len, *w.dev_a, *w.dev_b};
+  run.res.conns = conns;
+  w.a->kernel().spawn("httpd",
+                      [&run](Process& self) { return serve(self, run); });
+  w.b->kernel().spawn("clients", [&run](Process& self) {
+    return drive_clients(self, run);
   });
 
-  // ---- clients: one engine, `conns` flows ----
-  w.b->kernel().spawn("clients", [&](Process& self) -> Task {
-    An2Link link(self, *w.dev_b, link_cfg());
-    TcpEngine eng(link, engine_cfg(kClientIp, spec.reassemble));
-
-    enum Phase : std::uint8_t { Opening, Open, Requested, Done, Dead };
-    std::vector<TcpEngine::ConnId> ids(conns, 0);
-    std::vector<Phase> phase(conns, Opening);
-    std::vector<sim::Cycles> t_start(conns, 0);
-    std::vector<sim::Cycles> latency;
-    std::vector<std::string> resp(conns);
-    std::unordered_map<TcpEngine::ConnId, std::size_t> idx;
-    std::size_t established = 0, failed = 0, resp_done = 0,
-                outstanding = 0;
-    std::uint64_t good_bytes = 0;
-    sim::Cycles t_last_resp = 0;
-
-    TcpEngine::Callbacks cbs;
-    cbs.on_established = [&](TcpEngine::ConnId id) {
-      const std::size_t i = idx[id];
-      if (phase[i] == Opening) {
-        phase[i] = Open;
-        ++established;
-      }
-    };
-    cbs.on_readable = [&](TcpEngine::ConnId id) {
-      const std::size_t i = idx[id];
-      if (phase[i] != Requested) return;
-      std::uint8_t buf[2048];
-      for (;;) {
-        const std::size_t n = eng.read(id, buf, sizeof buf);
-        if (n == 0) break;
-        resp[i].append(reinterpret_cast<const char*>(buf), n);
-      }
-      if (!eng.at_eof(id)) return;
-      const auto r = proto::http_parse_response(resp[i]);
-      phase[i] = Done;
-      ++resp_done;
-      --outstanding;
-      if (r.has_value() && r->status == 200 &&
-          r->body.size() == body_len) {
-        ++res.responses_ok;
-        good_bytes += r->body.size();
-        latency.push_back(self.node().now() - t_start[i]);
-        t_last_resp = self.node().now();
-      }
-      resp[i].clear();
-      resp[i].shrink_to_fit();
-      eng.close(id);
-    };
-    cbs.on_closed = [&](TcpEngine::ConnId id) {
-      const std::size_t i = idx[id];
-      if (phase[i] == Opening) {
-        ++failed;
-      } else if (phase[i] == Requested) {
-        ++failed;
-        --outstanding;  // torn down before the response completed
-      }
-      if (phase[i] != Done) phase[i] = Dead;
-    };
-
-    // Phase 1: open everything, paced.
-    const sim::Cycles t_open0 = self.node().now();
-    const sim::Cycles open_deadline = t_open0 + budget / 2;
-    std::size_t issued = 0;
-    while (established + failed < conns) {
-      if (self.node().now() >= open_deadline) break;
-      while (issued < conns &&
-             issued - established - failed < kOpenWindow) {
-        const auto port =
-            static_cast<std::uint16_t>(kBasePort + issued);
-        const TcpEngine::ConnId id =
-            eng.connect(kServerIp, 80, port, cbs);
-        if (id == 0) {
-          phase[issued] = Dead;
-          ++failed;
-        } else {
-          ids[issued] = id;
-          idx[id] = issued;
-        }
-        ++issued;
-      }
-      const bool got = co_await eng.step(us(200.0));
-      (void)got;
-    }
-    res.established = established;
-    res.open_seconds = sim::to_us(self.node().now() - t_open0) / 1e6;
-    res.conns_per_sec =
-        res.open_seconds > 0 ? established / res.open_seconds : 0;
-    // The moment of maximum concurrency: every client flow is up, none
-    // has begun closing. Read the server's table size directly.
-    res.server_peak =
-        server_eng != nullptr ? server_eng->open_connections() : 0;
-
-    // Phase 2: one GET per established connection, closed-loop.
-    const std::string get = proto::http_format_get("/obj");
-    const auto* get_p =
-        reinterpret_cast<const std::uint8_t*>(get.data());
-    const sim::Cycles t_req0 = self.node().now();
-    const sim::Cycles req_deadline = t_req0 + budget / 2;
-    std::size_t next = 0;
-    for (;;) {
-      if (self.node().now() >= req_deadline) break;
-      while (next < conns && outstanding < kReqWindow) {
-        if (phase[next] == Open) {
-          t_start[next] = self.node().now();
-          eng.write(ids[next], {get_p, get.size()});
-          phase[next] = Requested;
-          ++outstanding;
-        }
-        ++next;
-      }
-      if (next >= conns && outstanding == 0) break;
-      const bool got = co_await eng.step(us(200.0));
-      (void)got;
-    }
-
-    if (t_last_resp > t_req0) {
-      const double req_s = sim::to_us(t_last_resp - t_req0) / 1e6;
-      res.goodput_mbps = req_s > 0 ? good_bytes / req_s / 1e6 : 0;
-    }
-    std::sort(latency.begin(), latency.end());
-    if (!latency.empty()) {
-      res.p50_us = sim::to_us(latency[latency.size() / 2]);
-      res.p99_us = sim::to_us(latency[latency.size() * 99 / 100]);
-    }
-    res.retransmits = eng.stats().retransmits;
-    res.fast_retx = eng.stats().fast_retransmits;
-    res.rto_timeouts = eng.stats().rto_timeouts;
-    res.ooo_buffered = eng.stats().ooo_buffered;
-    res.ooo_reassembled = eng.stats().ooo_reassembled;
-    res.ooo_dropped = eng.stats().ooo_dropped;
-    if (server_eng != nullptr) {
-      res.retransmits += server_eng->stats().retransmits;
-      res.fast_retx += server_eng->stats().fast_retransmits;
-      res.rto_timeouts += server_eng->stats().rto_timeouts;
-      res.ooo_buffered += server_eng->stats().ooo_buffered;
-      res.ooo_reassembled += server_eng->stats().ooo_reassembled;
-      res.ooo_dropped += server_eng->stats().ooo_dropped;
-    }
-
-    // Drain our own teardown, then stop the server.
-    const sim::Cycles drain_until = self.node().now() + us(100000.0);
-    while (self.node().now() < drain_until) {
-      const bool got = co_await eng.step(us(5000.0));
-      (void)got;
-    }
-    server_done = true;
-  });
-
-  w.sim.run(budget + us(1e6));
-  return res;
+  w.sim.run(run.budget + us(1e6));
+  return run.res;
 }
 
 net::FaultConfig lossy(double drop, double reorder) {

@@ -72,7 +72,7 @@ double rtt_us(Mode mode, bool suspended) {
       std::string error;
       const int id = ash_sys.download(self, ashlib::make_remote_increment(),
                                       opts, &error);
-      ash_sys.attach_an2(*w.dev_b, vc, id, ctr);
+      ash_sys.attach(*w.dev_b, vc, id, ctr);
     }
     // Process state during the experiment:
     if (suspended) {

@@ -27,11 +27,6 @@ const Ipv4Addr kIpB = Ipv4Addr::of(10, 0, 0, 2);
 
 enum class Mode { SandboxedAsh, UnsafeAsh, Upcall, UserInterrupt, UserPoll };
 
-bool handler_mode(Mode m) {
-  return m == Mode::SandboxedAsh || m == Mode::UnsafeAsh ||
-         m == Mode::Upcall;
-}
-
 TcpConfig tcp_cfg(bool client, std::uint32_t mss) {
   TcpConfig c;
   c.local_ip = client ? kIpA : kIpB;

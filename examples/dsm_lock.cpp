@@ -105,7 +105,7 @@ int main() {
                                          i + (dev == &home_to_2 ? 8 : 0)),
                            64);
       }
-      ash_system.attach_an2(*dev, vc, id, locks);
+      ash_system.attach(*dev, vc, id, locks);
     }
     std::printf("home: DSM lock service installed (%u locks); sleeping\n",
                 kNumLocks);

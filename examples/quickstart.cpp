@@ -69,7 +69,7 @@ int main() {
                 report.mem_check_insns, report.epilogue_insns);
 
     // Attach to the VC; r3 of every invocation will hold counter_addr.
-    ash_system.attach_an2(nic_b, vc, ash_id, counter_addr);
+    ash_system.attach(nic_b, vc, ash_id, counter_addr);
 
     // The application now sleeps. Every arriving message is handled
     // entirely in kernel context by the downloaded code.

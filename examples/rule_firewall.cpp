@@ -103,7 +103,7 @@ int main() {
       std::printf("download_rules failed: %s\n", error.c_str());
       co_return;
     }
-    ash_system.attach_an2(nic_b, vc_b, ash_id, state_addr);
+    ash_system.attach(nic_b, vc_b, ash_id, state_addr);
     std::printf("\nfirewall installed; bob sleeps\n\n");
 
     // Sleep through the traffic, then count what was actually delivered.

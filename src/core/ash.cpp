@@ -1,8 +1,10 @@
 #include "core/ash.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 
@@ -18,13 +20,20 @@ namespace ash::core {
 namespace {
 
 /// Denial events share one shape; the admission guards differ only in
-/// reason. `cpu_id` is the denying CPU — the node's main CPU on the
-/// inline path, the receive queue's CPU on the batched path.
+/// reason. `cpu_id` is the denying CPU — the dispatch site's CPU or NIC
+/// unit.
 void trace_denied(sim::Node& node, std::uint16_t cpu_id, int ash_id,
                   trace::DenyReason reason) {
   trace::global().emit(trace::make_event(
       trace::EventType::AshDenied, cpu_id, node.now(), ash_id,
       static_cast<std::uint32_t>(reason)));
+}
+
+/// TSend release for an attached handler: replies leave on its device.
+AshSystem::SendFn replies_via(net::RxSink* sink) {
+  return [sink](int chan, std::span<const std::uint8_t> bytes) {
+    return sink->reply(chan, bytes);
+  };
 }
 
 }  // namespace
@@ -183,23 +192,15 @@ const Supervisor::HandlerState& AshSystem::supervisor_state(
   return at(ash_id).health;
 }
 
-void AshSystem::clear_attachments(Installed& ash) {
-  for (const Attachment& att : ash.attachments) {
-    if (att.an2 != nullptr) {
-      att.an2->set_kernel_hook(att.channel, nullptr);
-      att.an2->set_kernel_batch_hook(att.channel, nullptr);
-      if (att.an2->nic() != nullptr) {
-        att.an2->nic()->detach(att.an2, att.channel);
-      }
-    }
-    if (att.eth != nullptr) {
-      att.eth->set_kernel_hook(att.channel, nullptr);
-      att.eth->set_kernel_batch_hook(att.channel, nullptr);
-      if (att.eth->nic() != nullptr) {
-        att.eth->nic()->detach(att.eth, att.channel);
-      }
-    }
+void AshSystem::unhook(const Attachment& att) {
+  att.sink->clear_kernel_hooks(att.channel);
+  if (net::NicProcessor* nic = att.sink->nic()) {
+    nic->detach(att.sink, att.channel);
   }
+}
+
+void AshSystem::clear_attachments(Installed& ash) {
+  for (const Attachment& att : ash.attachments) unhook(att);
   ash.attachments.clear();
 }
 
@@ -228,7 +229,7 @@ std::size_t AshSystem::revoke_owner(const sim::Process& owner) {
   }
   // Feed the tenant scheduler: the account is closed and its deficit debt
   // written off; frames already coalesced for this owner will be drained
-  // by invoke_batch with counted denials.
+  // by dispatch with counted denials.
   if (tenants_ != nullptr) tenants_->on_owner_revoked(owner);
   return revoked;
 }
@@ -238,45 +239,14 @@ std::uint64_t AshSystem::owner_faults(const sim::Process& owner) const {
   return it == faults_by_owner_.end() ? 0 : it->second;
 }
 
-bool AshSystem::detach_an2(net::An2Device& dev, int vc) {
+bool AshSystem::detach(net::RxSink& dev, int channel) {
   bool found = false;
   for (const auto& entry : installed_) {
-    auto& atts = entry->attachments;
-    for (std::size_t i = 0; i < atts.size();) {
-      if (atts[i].an2 == &dev && atts[i].channel == vc) {
-        atts.erase(atts.begin() + static_cast<std::ptrdiff_t>(i));
-        found = true;
-      } else {
-        ++i;
-      }
-    }
+    found |= std::erase_if(entry->attachments, [&](const Attachment& att) {
+               return att.sink == &dev && att.channel == channel;
+             }) != 0;
   }
-  if (found) {
-    dev.set_kernel_hook(vc, nullptr);
-    dev.set_kernel_batch_hook(vc, nullptr);
-    if (dev.nic() != nullptr) dev.nic()->detach(&dev, vc);
-  }
-  return found;
-}
-
-bool AshSystem::detach_eth(net::EthernetDevice& dev, int endpoint) {
-  bool found = false;
-  for (const auto& entry : installed_) {
-    auto& atts = entry->attachments;
-    for (std::size_t i = 0; i < atts.size();) {
-      if (atts[i].eth == &dev && atts[i].channel == endpoint) {
-        atts.erase(atts.begin() + static_cast<std::ptrdiff_t>(i));
-        found = true;
-      } else {
-        ++i;
-      }
-    }
-  }
-  if (found) {
-    dev.set_kernel_hook(endpoint, nullptr);
-    dev.set_kernel_batch_hook(endpoint, nullptr);
-    if (dev.nic() != nullptr) dev.nic()->detach(&dev, endpoint);
-  }
+  if (found) unhook({&dev, channel});
   return found;
 }
 
@@ -315,7 +285,7 @@ AshSystem::Installed* AshSystem::admit(int ash_id, std::uint16_t cpu_id,
     if (trace::enabled()) {
       trace_denied(node_, cpu_id, ash_id, trace::DenyReason::BadId);
     }
-    if (why != nullptr) *why = trace::DenyReason::BadId;
+    *why = trace::DenyReason::BadId;
     return nullptr;
   }
   Installed& ash = *ash_p;
@@ -330,7 +300,7 @@ AshSystem::Installed* AshSystem::admit(int ash_id, std::uint16_t cpu_id,
     if (trace::enabled()) {
       trace_denied(node_, cpu_id, ash_id, trace::DenyReason::Revoked);
     }
-    if (why != nullptr) *why = trace::DenyReason::Revoked;
+    *why = trace::DenyReason::Revoked;
     return nullptr;
   }
 
@@ -345,7 +315,7 @@ AshSystem::Installed* AshSystem::admit(int ash_id, std::uint16_t cpu_id,
     if (trace::enabled()) {
       trace_denied(node_, cpu_id, ash_id, trace::DenyReason::Quarantined);
     }
-    if (why != nullptr) *why = trace::DenyReason::Quarantined;
+    *why = trace::DenyReason::Quarantined;
     return nullptr;
   }
 
@@ -358,7 +328,7 @@ AshSystem::Installed* AshSystem::admit(int ash_id, std::uint16_t cpu_id,
     if (trace::enabled()) {
       trace_denied(node_, cpu_id, ash_id, trace::DenyReason::CycleQuota);
     }
-    if (why != nullptr) *why = trace::DenyReason::CycleQuota;
+    *why = trace::DenyReason::CycleQuota;
     return nullptr;
   }
 
@@ -377,7 +347,7 @@ AshSystem::Installed* AshSystem::admit(int ash_id, std::uint16_t cpu_id,
       if (trace::enabled()) {
         trace_denied(node_, cpu_id, ash_id, trace::DenyReason::LivelockQuota);
       }
-      if (why != nullptr) *why = trace::DenyReason::LivelockQuota;
+      *why = trace::DenyReason::LivelockQuota;
       return nullptr;  // over quota: normal delivery path
     }
     ++win.count;
@@ -387,10 +357,10 @@ AshSystem::Installed* AshSystem::admit(int ash_id, std::uint16_t cpu_id,
 }
 
 AshSystem::RunResult AshSystem::run_one(int ash_id, Installed& ash,
-                                        const MsgContext& msg, AshEnv& env,
+                                        const net::RxFrame& frame,
+                                        std::uint32_t user_arg, AshEnv& env,
                                         std::uint16_t cpu_id,
-                                        sim::Cycles dispatch,
-                                        sim::Cycles clear) {
+                                        sim::Cycles entry, sim::Cycles clear) {
   AshStats& stats = ash.stats;
   ++stats.invocations;
 
@@ -403,7 +373,7 @@ AshSystem::RunResult AshSystem::run_one(int ash_id, Installed& ash,
     tctx.emplace(cpu_id, node_.now(), ash_id);
     trace::global().emit(trace::make_event(
         trace::EventType::AshDispatch, cpu_id, node_.now(), ash_id,
-        msg.len, static_cast<std::uint32_t>(msg.channel)));
+        frame.len, static_cast<std::uint32_t>(frame.channel)));
   }
 
   vcode::ExecLimits limits;
@@ -420,15 +390,15 @@ AshSystem::RunResult AshSystem::run_one(int ash_id, Installed& ash,
   vcode::ExecResult exec;
   if (ash.jit != nullptr) {
     std::array<std::uint32_t, vcode::kNumRegs> regs{};
-    regs[vcode::kRegArg0] = msg.addr;
-    regs[vcode::kRegArg1] = msg.len;
-    regs[vcode::kRegArg2] = msg.user_arg;
-    regs[vcode::kRegArg3] = static_cast<std::uint32_t>(msg.channel);
+    regs[vcode::kRegArg0] = frame.addr;
+    regs[vcode::kRegArg1] = frame.len;
+    regs[vcode::kRegArg2] = user_arg;
+    regs[vcode::kRegArg3] = static_cast<std::uint32_t>(frame.channel);
     exec = ash.jit->run(env, regs, limits);
   } else {
     vcode::Interpreter interp(ash.prog, env);
-    interp.set_args(msg.addr, msg.len, msg.user_arg,
-                    static_cast<std::uint32_t>(msg.channel));
+    interp.set_args(frame.addr, frame.len, user_arg,
+                    static_cast<std::uint32_t>(frame.channel));
     exec = interp.run(limits);
   }
   stats.cycles += exec.cycles;
@@ -441,7 +411,7 @@ AshSystem::RunResult AshSystem::run_one(int ash_id, Installed& ash,
 
   RunResult result;
   result.outcome = exec.outcome;
-  result.total = dispatch + exec.cycles + clear;
+  result.total = entry + exec.cycles + clear;
   result.insns = exec.insns;
 
   stats.by_outcome[static_cast<std::size_t>(exec.outcome)] += 1;
@@ -496,65 +466,25 @@ AshSystem::RunResult AshSystem::run_one(int ash_id, Installed& ash,
   return result;
 }
 
-bool AshSystem::invoke(int ash_id, const MsgContext& msg, SendFn send_fn,
-                       sim::Cycles tx_cost) {
-  Installed* ash_p = admit(ash_id, node_.cpu_id());
-  if (ash_p == nullptr) return false;
-  Installed& ash = *ash_p;
-
-  AshEnv::Config env_cfg;
-  env_cfg.node = &node_;
-  env_cfg.owner_seg = ash.owner->segment();
-  env_cfg.msg_addr = msg.addr;
-  env_cfg.msg_len = msg.len;
-  env_cfg.stripe_chunk = msg.stripe_chunk;
-  env_cfg.engine = &dilp_;
-  env_cfg.tx_cost = tx_cost;
-  AshEnv env(env_cfg);
-
+net::NicExecResult AshSystem::dispatch(int ash_id,
+                                      std::span<const net::RxFrame> frames,
+                                      std::uint32_t user_arg, SendFn send_fn,
+                                      sim::Cycles tx_cost, const Site& site,
+                                      bool* consumed) {
   const sim::CostModel& cost = node_.cost();
-  const sim::Cycles dispatch =
-      cost.ash_timer_setup +
-      (ash.opts.prebound_translation ? 0 : cost.ash_context_install);
-  const RunResult run = run_one(ash_id, ash, msg, env, node_.cpu_id(),
-                                dispatch, cost.ash_timer_clear);
-
-  // Occupy the CPU for the handler's runtime; release collected sends when
-  // it "finishes" so replies cannot precede the work that produced them.
-  // Sends were snapshotted at TSend time, so later handler stores to the
-  // same buffer cannot corrupt an in-flight reply.
-  if (run.outcome == vcode::Outcome::Halted && !env.sends().empty()) {
-    auto sends = env.sends();
-    node_.kernel_work(run.total,
-                      [send_fn = std::move(send_fn), sends = std::move(sends)] {
-                        for (const auto& req : sends) {
-                          send_fn(req.channel, req.bytes);
-                        }
-                      });
-  } else {
-    node_.kernel_work(run.total);
-  }
-
-  return run.consumed;
-}
-
-void AshSystem::invoke_batch(int ash_id, std::span<const MsgContext> msgs,
-                             SendFn send_fn, sim::Cycles tx_cost,
-                             const sim::KernelCpu& cpu, bool* consumed) {
-  const std::uint16_t cpu_id = cpu.cpu_id();
-  const sim::CostModel& cost = node_.cost();
-
-  sim::Cycles batch_total = 0;
-  std::uint64_t batch_insns = 0;
+  sim::Cycles total = 0;  // host-model cycles of every run, entry and clear
+  std::uint64_t insns = 0;
   std::uint32_t executed = 0;
+  std::size_t committed = 0;
+  net::NicExecResult res;
   std::vector<AshEnv::SendReq> sends;
 
-  for (std::size_t i = 0; i < msgs.size(); ++i) {
+  for (std::size_t i = 0; i < frames.size(); ++i) {
     // Per-message admission: a fault on message k can quarantine or
     // revoke the handler mid-batch, and the messages after it must see
     // that decision — the batch amortizes entry cost, not policy.
     trace::DenyReason why{};
-    Installed* ash_p = admit(ash_id, cpu_id, &why);
+    Installed* ash_p = admit(ash_id, site.cpu_id, &why);
     if (ash_p == nullptr) {
       // Revocation is terminal: no later message in this batch can be
       // admitted, so drain the remaining coalesced frames with counted
@@ -562,11 +492,11 @@ void AshSystem::invoke_batch(int ash_id, std::span<const MsgContext> msgs,
       if (why == trace::DenyReason::Revoked) {
         Installed* rev = find(ash_id);
         if (rev != nullptr) {
-          const std::uint64_t drained = msgs.size() - (i + 1);
-          for (std::size_t j = i + 1; j < msgs.size(); ++j) {
+          const std::uint64_t drained = frames.size() - (i + 1);
+          for (std::size_t j = i + 1; j < frames.size(); ++j) {
             ++rev->stats.revoked_skips;
             if (trace::enabled()) {
-              trace_denied(node_, cpu_id, ash_id,
+              trace_denied(node_, site.cpu_id, ash_id,
                            trace::DenyReason::Revoked);
             }
           }
@@ -579,136 +509,113 @@ void AshSystem::invoke_batch(int ash_id, std::span<const MsgContext> msgs,
       continue;
     }
     Installed& ash = *ash_p;
+    const net::RxFrame& frame = frames[i];
 
+    // Same env and tx_cost at every site, so execution — and therefore
+    // AshStats, outcome taxonomy, and replies — is identical wherever the
+    // handler runs; only the charge differs.
     AshEnv::Config env_cfg;
     env_cfg.node = &node_;
     env_cfg.owner_seg = ash.owner->segment();
-    env_cfg.msg_addr = msgs[i].addr;
-    env_cfg.msg_len = msgs[i].len;
-    env_cfg.stripe_chunk = msgs[i].stripe_chunk;
+    env_cfg.msg_addr = frame.addr;
+    env_cfg.msg_len = frame.len;
+    env_cfg.stripe_chunk = frame.stripe_chunk;
     env_cfg.engine = &dilp_;
     env_cfg.tx_cost = tx_cost;
     AshEnv env(env_cfg);
 
-    // First executed message pays the full entry; the rest only re-arm
-    // the budget timer. The single timer clear is added after the loop.
-    const sim::Cycles dispatch =
-        executed == 0
-            ? cost.ash_timer_setup +
-                  (ash.opts.prebound_translation ? 0
-                                                 : cost.ash_context_install)
-            : cost.ash_batch_rearm;
+    // Host sites: the first run pays the full sandbox entry, later runs of
+    // a batch only re-arm the budget timer. A NIC unit is hardware-
+    // sequenced; its own dispatch charge is added below.
+    sim::Cycles entry = 0;
+    sim::Cycles clear = 0;
+    if (site.kind != SiteKind::Nic) {
+      entry = executed == 0 ? cost.ash_timer_setup +
+                                  (ash.opts.prebound_translation
+                                       ? 0
+                                       : cost.ash_context_install)
+                            : cost.ash_batch_rearm;
+      if (site.kind == SiteKind::Host) clear = cost.ash_timer_clear;
+    }
     const RunResult run =
-        run_one(ash_id, ash, msgs[i], env, cpu_id, dispatch, 0);
+        run_one(ash_id, ash, frame, user_arg, env, site.cpu_id, entry, clear);
     ++executed;
-    batch_total += run.total;
-    batch_insns += run.insns;
-
-    if (run.consumed) {
-      if (consumed != nullptr) consumed[i] = true;
-      sends.insert(sends.end(), env.sends().begin(), env.sends().end());
+    total += run.total;
+    insns += run.insns;
+    res.faulted |= run.outcome != vcode::Outcome::Halted &&
+                   run.outcome != vcode::Outcome::VoluntaryAbort;
+    if (!run.consumed) continue;
+    ++committed;
+    if (consumed != nullptr) consumed[i] = true;
+    // Sends were snapshotted at TSend time, so later handler stores to
+    // the same buffer cannot corrupt an in-flight reply.
+    std::vector<AshEnv::SendReq> mine = env.take_sends();
+    if (sends.empty()) {
+      sends = std::move(mine);
+    } else {
+      std::move(mine.begin(), mine.end(), std::back_inserter(sends));
     }
   }
 
-  if (executed > 0) batch_total += cost.ash_timer_clear;
-
-  if (trace::enabled()) {
-    trace::global().emit(trace::make_event(
-        trace::EventType::BatchDispatch, cpu_id, node_.now(), ash_id,
-        static_cast<std::uint32_t>(msgs.size()), executed, batch_total,
-        batch_insns));
+  res.ran = executed != 0;
+  res.consumed = committed == frames.size();
+  res.replies = static_cast<std::uint32_t>(sends.size());
+  if (site.kind == SiteKind::RxQueue) {
+    if (executed > 0) total += cost.ash_timer_clear;
+    if (trace::enabled()) {
+      trace::global().emit(trace::make_event(
+          trace::EventType::BatchDispatch, site.cpu_id, node_.now(), ash_id,
+          static_cast<std::uint32_t>(frames.size()), executed, total, insns));
+    }
+  }
+  if (site.kind == SiteKind::Nic) {
+    const net::NicCostModel& nc = site.unit->cost();
+    res.charged = nc.dispatch * executed + site.unit->scale(total) +
+                  nc.reply_issue * res.replies +
+                  nc.punt_handoff * (frames.size() - committed);
+  } else {
+    res.charged = total;
   }
 
-  // One CPU charge for the whole batch; all collected sends release when
-  // the batch's runtime has elapsed, preserving the reply-ordering
-  // contract of the single-message path.
+  // One charge for the whole dispatch: occupy the site for its runtime and
+  // release the collected sends when it "finishes".
+  sim::EventFn release;
   if (!sends.empty()) {
-    cpu.kernel_work(batch_total,
-                    [send_fn = std::move(send_fn), sends = std::move(sends)] {
-                      for (const auto& req : sends) {
-                        send_fn(req.channel, req.bytes);
-                      }
-                    });
-  } else if (batch_total != 0) {
-    cpu.kernel_work(batch_total);
+    release = [send_fn = std::move(send_fn), sends = std::move(sends)] {
+      for (const auto& req : sends) send_fn(req.channel, req.bytes);
+    };
   }
+  if (site.unit != nullptr) {
+    site.unit->work(res.charged, std::move(release));
+  } else if (res.charged != 0 || release) {
+    site.cpu.kernel_work(res.charged, std::move(release));
+  }
+  return res;
 }
 
-void AshSystem::attach_an2(net::An2Device& dev, int vc, int ash_id,
-                           std::uint32_t user_arg) {
-  at(ash_id).attachments.push_back({&dev, nullptr, vc});
-  net::An2Device* device = &dev;
-  dev.set_kernel_hook(vc, [this, device, ash_id, user_arg](
-                              const net::An2Device::RxEvent& ev) {
-    MsgContext msg;
-    msg.addr = ev.desc.addr;
-    msg.len = ev.desc.len;
-    msg.stripe_chunk = 0;
-    msg.channel = ev.vc;
-    msg.user_arg = user_arg;
-    return invoke(ash_id, msg,
-                  [device](int chan, std::span<const std::uint8_t> bytes) {
-                    return device->send(chan, bytes);
-                  },
-                  device->config().tx_kernel_work);
-  });
-  // Batched form for the multi-queue receive path; same message shape,
-  // entry cost amortized across the batch by invoke_batch.
-  dev.set_kernel_batch_hook(
-      vc, [this, device, ash_id, user_arg](
-              std::span<const net::An2Device::RxEvent> evs,
-              const sim::KernelCpu& cpu, bool* consumed) {
-        std::vector<MsgContext> msgs(evs.size());
-        for (std::size_t i = 0; i < evs.size(); ++i) {
-          msgs[i].addr = evs[i].desc.addr;
-          msgs[i].len = evs[i].desc.len;
-          msgs[i].stripe_chunk = 0;
-          msgs[i].channel = evs[i].vc;
-          msgs[i].user_arg = user_arg;
-        }
-        invoke_batch(ash_id, msgs,
-                     [device](int chan, std::span<const std::uint8_t> bytes) {
-                       return device->send(chan, bytes);
-                     },
-                     device->config().tx_kernel_work, cpu, consumed);
-      });
+bool AshSystem::invoke(int ash_id, const MsgContext& msg, SendFn send_fn,
+                       sim::Cycles tx_cost) {
+  const net::RxFrame f{.channel = msg.channel, .addr = msg.addr,
+                       .len = msg.len, .stripe_chunk = msg.stripe_chunk};
+  const sim::KernelCpu cpu(node_);
+  return dispatch(ash_id, {&f, 1}, msg.user_arg, std::move(send_fn), tx_cost,
+                  {SiteKind::Host, cpu.cpu_id(), cpu}, nullptr)
+      .consumed;
 }
 
-void AshSystem::attach_eth(net::EthernetDevice& dev, int endpoint, int ash_id,
-                           std::uint32_t user_arg) {
-  at(ash_id).attachments.push_back({nullptr, &dev, endpoint});
-  net::EthernetDevice* device = &dev;
-  dev.set_kernel_hook(endpoint, [this, device, ash_id, user_arg](
-                                    const net::EthernetDevice::RxEvent& ev) {
-    MsgContext msg;
-    msg.addr = ev.striped.addr;
-    msg.len = ev.striped.len;
-    msg.stripe_chunk = 16;
-    msg.channel = ev.endpoint;
-    msg.user_arg = user_arg;
-    return invoke(ash_id, msg,
-                  [device](int, std::span<const std::uint8_t> bytes) {
-                    return device->send(bytes);
-                  },
-                  device->config().tx_kernel_work);
-  });
+void AshSystem::attach(net::RxSink& dev, int channel, int ash_id,
+                       std::uint32_t user_arg) {
+  at(ash_id).attachments.push_back({&dev, channel});
+  net::RxSink* sink = &dev;
   dev.set_kernel_batch_hook(
-      endpoint, [this, device, ash_id, user_arg](
-                    std::span<const net::EthernetDevice::RxEvent> evs,
-                    const sim::KernelCpu& cpu, bool* consumed) {
-        std::vector<MsgContext> msgs(evs.size());
-        for (std::size_t i = 0; i < evs.size(); ++i) {
-          msgs[i].addr = evs[i].striped.addr;
-          msgs[i].len = evs[i].striped.len;
-          msgs[i].stripe_chunk = 16;
-          msgs[i].channel = evs[i].endpoint;
-          msgs[i].user_arg = user_arg;
-        }
-        invoke_batch(ash_id, msgs,
-                     [device](int, std::span<const std::uint8_t> bytes) {
-                       return device->send(bytes);
-                     },
-                     device->config().tx_kernel_work, cpu, consumed);
+      channel, [this, sink, ash_id, user_arg](
+                   std::span<const net::RxFrame> frames,
+                   const sim::KernelCpu& cpu, bool queued, bool* consumed) {
+        dispatch(ash_id, frames, user_arg, replies_via(sink),
+                 sink->tx_kernel_work(),
+                 {queued ? SiteKind::RxQueue : SiteKind::Host, cpu.cpu_id(),
+                  cpu},
+                 consumed);
       });
 }
 
@@ -719,114 +626,24 @@ std::uint32_t AshSystem::nic_footprint(int ash_id) const {
          kNicHandlerStateBytes;
 }
 
-net::NicExecResult AshSystem::invoke_nic(int ash_id, const MsgContext& msg,
-                                         SendFn send_fn, sim::Cycles tx_cost,
-                                         net::NicExecUnit& unit) {
-  net::NicExecResult res;
-  Installed* ash_p = admit(ash_id, unit.cpu_id());
-  if (ash_p == nullptr) {
-    // Admission denied on-device (revoked/quarantined/tenant/livelock).
-    // Deny counters and trace are identical to a host-path denial; the
-    // frame goes back to the host as a punt, charged only the handoff.
-    res.charged = unit.cost().punt_handoff;
-    unit.work(res.charged);
-    return res;
-  }
-  Installed& ash = *ash_p;
-
-  // Same env and tx_cost as the host paths, so execution — and therefore
-  // AshStats, outcome taxonomy, and replies — is identical wherever the
-  // handler runs. Only the cycle *charge* differs: it lands on the NIC
-  // unit under its own clock ratio and dispatch cost.
-  AshEnv::Config env_cfg;
-  env_cfg.node = &node_;
-  env_cfg.owner_seg = ash.owner->segment();
-  env_cfg.msg_addr = msg.addr;
-  env_cfg.msg_len = msg.len;
-  env_cfg.stripe_chunk = msg.stripe_chunk;
-  env_cfg.engine = &dilp_;
-  env_cfg.tx_cost = tx_cost;
-  AshEnv env(env_cfg);
-
-  // No host timer setup/clear on the device; the unit's dispatch overhead
-  // replaces them, added below under the device cost model.
-  const RunResult run = run_one(ash_id, ash, msg, env, unit.cpu_id(), 0, 0);
-  res.ran = true;
-  res.consumed = run.consumed;
-  res.faulted = run.outcome != vcode::Outcome::Halted &&
-                run.outcome != vcode::Outcome::VoluntaryAbort;
-  res.charged = unit.cost().dispatch + unit.scale(run.total);
-
-  if (run.consumed && !env.sends().empty()) {
-    // Replies initiate from the device (TSend with no host transition);
-    // the same release-after-runtime contract as invoke() applies.
-    auto sends = env.sends();
-    res.replies = static_cast<std::uint32_t>(sends.size());
-    res.charged += static_cast<sim::Cycles>(res.replies) *
-                   unit.cost().reply_issue;
-    unit.work(res.charged,
-              [send_fn = std::move(send_fn), sends = std::move(sends)] {
-                for (const auto& req : sends) {
-                  send_fn(req.channel, req.bytes);
-                }
-              });
-  } else {
-    // Ran-but-not-consumed (voluntary abort, fault, or plain "not mine")
-    // hands the frame back to the host: charge the punt handoff too.
-    if (!run.consumed) res.charged += unit.cost().punt_handoff;
-    unit.work(res.charged);
-  }
-  return res;
-}
-
-bool AshSystem::offload_an2(net::An2Device& dev, int vc, int ash_id,
-                            std::uint32_t user_arg) {
-  // Host hooks first: not-resident punts and post-detach frames must run
+bool AshSystem::offload(net::RxSink& dev, int channel, int ash_id,
+                        std::uint32_t user_arg) {
+  // Host hook first: not-resident punts and post-detach frames must run
   // the handler on the normal host path, so behaviour is identical minus
   // where the cycles land.
-  attach_an2(dev, vc, ash_id, user_arg);
-  if (dev.nic() == nullptr) return false;
-  net::An2Device* device = &dev;
-  return dev.nic()->attach(
-      &dev, vc, nic_footprint(ash_id),
-      [this, device, ash_id, user_arg](const net::RxFrame& f,
-                                       net::NicExecUnit& unit) {
-        MsgContext msg;
-        msg.addr = f.addr;
-        msg.len = f.len;
-        msg.stripe_chunk = 0;
-        msg.channel = f.channel;
-        msg.user_arg = user_arg;
-        return invoke_nic(
-            ash_id, msg,
-            [device](int chan, std::span<const std::uint8_t> bytes) {
-              return device->send(chan, bytes);
-            },
-            device->config().tx_kernel_work, unit);
-      });
-}
-
-bool AshSystem::offload_eth(net::EthernetDevice& dev, int endpoint,
-                            int ash_id, std::uint32_t user_arg) {
-  attach_eth(dev, endpoint, ash_id, user_arg);
-  if (dev.nic() == nullptr) return false;
-  net::EthernetDevice* device = &dev;
-  return dev.nic()->attach(
-      &dev, endpoint, nic_footprint(ash_id),
-      [this, device, ash_id, user_arg](const net::RxFrame& f,
-                                       net::NicExecUnit& unit) {
-        MsgContext msg;
-        msg.addr = f.addr;
-        msg.len = f.len;
-        msg.stripe_chunk = 16;
-        msg.channel = f.channel;
-        msg.user_arg = user_arg;
-        return invoke_nic(
-            ash_id, msg,
-            [device](int, std::span<const std::uint8_t> bytes) {
-              return device->send(bytes);
-            },
-            device->config().tx_kernel_work, unit);
+  attach(dev, channel, ash_id, user_arg);
+  net::NicProcessor* nic = dev.nic();
+  if (nic == nullptr) return false;
+  net::RxSink* sink = &dev;
+  return nic->attach(
+      sink, channel, nic_footprint(ash_id),
+      [this, sink, ash_id, user_arg](const net::RxFrame& f,
+                                     net::NicExecUnit& unit) {
+        // Replies initiate from the device (TSend with no host
+        // transition), under the same release-after-runtime contract.
+        return dispatch(ash_id, {&f, 1}, user_arg, replies_via(sink),
+                        sink->tx_kernel_work(),
+                        {SiteKind::Nic, unit.cpu_id(), {}, &unit}, nullptr);
       });
 }
 

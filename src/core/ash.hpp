@@ -179,16 +179,19 @@ class AshSystem {
                      std::uint32_t state_addr, const AshOptions& opts,
                      std::string* error);
 
-  /// Attach a downloaded ASH to an AN2 virtual circuit. Replies via TSend
-  /// go out on this device.
+  /// Attach a downloaded ASH to a demultiplexing point: an AN2 virtual
+  /// circuit or an Ethernet/DPF endpoint. The device's frame hook then
+  /// runs the handler on every arrival, inline or from its RX queue;
+  /// replies via TSend go out on the same device. On Ethernet the message
+  /// offered to the handler is the striped kernel buffer; TDilp with a
+  /// striped-layout ilp or TUserCopy (which destripes) moves it out.
+  void attach(net::RxSink& dev, int channel, int ash_id,
+              std::uint32_t user_arg = 0);
+  /// attach() under its AN2-only name, which perfbench's rpc_small calls.
   void attach_an2(net::An2Device& dev, int vc, int ash_id,
-                  std::uint32_t user_arg = 0);
-
-  /// Attach to an Ethernet/DPF endpoint. The message offered to the
-  /// handler is the striped kernel buffer; TDilp with a striped-layout ilp
-  /// or TUserCopy (which destripes) moves it out.
-  void attach_eth(net::EthernetDevice& dev, int endpoint, int ash_id,
-                  std::uint32_t user_arg = 0);
+                  std::uint32_t user_arg = 0) {
+    attach(dev, vc, ash_id, user_arg);
+  }
 
   // ---- smart-NIC offload (net/nic_offload.hpp) ----
 
@@ -196,16 +199,14 @@ class AshSystem {
   /// plus fast-mem scratch and DILP persistent registers.
   std::uint32_t nic_footprint(int ash_id) const;
 
-  /// Attach like attach_an2, *and* make the handler NIC-resident on the
-  /// device's NicProcessor (dev.set_nic must have been called). Returns
-  /// true when the handler fit the NIC memory window — its frames then
-  /// execute on device units; false leaves it host-resident (frames are
-  /// counted NotResident punts through the normal host hooks installed
-  /// here either way, so behaviour is identical minus where cycles land).
-  bool offload_an2(net::An2Device& dev, int vc, int ash_id,
-                   std::uint32_t user_arg = 0);
-  bool offload_eth(net::EthernetDevice& dev, int endpoint, int ash_id,
-                   std::uint32_t user_arg = 0);
+  /// attach(), *and* make the handler NIC-resident on the device's
+  /// NicProcessor (dev.set_nic must have been called). Returns true when
+  /// the handler fit the NIC memory window — its frames then execute on
+  /// device units; false leaves it host-resident (frames are counted
+  /// NotResident punts through the host hook installed here either way,
+  /// so behaviour is identical minus where cycles land).
+  bool offload(net::RxSink& dev, int channel, int ash_id,
+               std::uint32_t user_arg = 0);
 
   /// Receive-livelock guard (Section VI-4): at most `quota` handler runs
   /// per owning process per `window` cycles; beyond that, messages fall
@@ -242,12 +243,11 @@ class AshSystem {
   const Supervisor::HandlerState& supervisor_state(int ash_id) const;
 
   /// Detach whatever handler is hooked to this demux point: the device
-  /// hook is cleared and the attachment forgotten. Returns false when no
-  /// ASH of this system was attached there. Must not be called from
-  /// inside the handler's own invocation (revocation, which can fire
-  /// there, defers its hook-clearing instead).
-  bool detach_an2(net::An2Device& dev, int vc);
-  bool detach_eth(net::EthernetDevice& dev, int endpoint);
+  /// hooks are cleared, any NIC residency is released and the attachment
+  /// is forgotten. Returns false when no ASH of this system was attached
+  /// there. Must not be called from inside the handler's own invocation
+  /// (revocation, which can fire there, defers its hook-clearing instead).
+  bool detach(net::RxSink& dev, int channel);
 
   /// Permanently revoke a handler: marks it Revoked and clears its device
   /// hooks (deferred through the event queue, so revocation is safe from
@@ -293,48 +293,41 @@ class AshSystem {
   /// Delivers one collected TSend at handler completion: (channel, bytes).
   using SendFn = std::function<bool(int, std::span<const std::uint8_t>)>;
 
-  /// Invoke handler `ash_id` on a message, in kernel context. Returns true
-  /// if the handler consumed the message (commit). Exposed for tests and
-  /// for custom demux points; devices call it through the attach hooks.
+  /// Invoke handler `ash_id` on a message, in kernel context on the
+  /// node's main CPU. Returns true if the handler consumed the message
+  /// (commit). Exposed for tests and for custom demux points; devices
+  /// reach the same dispatch loop through the attach hooks.
   bool invoke(int ash_id, const MsgContext& msg, SendFn send_fn,
               sim::Cycles tx_cost);
 
-  /// Batched invocation for the multi-queue receive path: all messages
-  /// share one handler and one demux point. The first dispatched message
-  /// pays the full sandbox-entry cost (budget-timer setup + context
-  /// install); messages 2..N pay only CostModel::ash_batch_rearm — the
-  /// owner's context is already installed and the budget timer is merely
-  /// re-armed — and the timer is cleared once per batch.
-  ///
-  /// Containment is per message: admission (revocation, quarantine,
-  /// livelock quota) runs for every message, and a fault on message k
-  /// aborts only that run — the supervisor is notified and the remaining
-  /// messages still execute (or are denied by the policy it just
-  /// triggered). `consumed[i]`, when non-null, is set true for each
-  /// committed message; unset messages fall back to the normal path.
-  ///
-  /// Cycles are charged on `cpu` (the receive queue's CPU), and collected
-  /// TSends from all committed messages are released together when the
-  /// batch's charged runtime has elapsed.
-  void invoke_batch(int ash_id, std::span<const MsgContext> msgs,
-                    SendFn send_fn, sim::Cycles tx_cost,
-                    const sim::KernelCpu& cpu, bool* consumed);
-
-  /// Run handler `ash_id` on a NIC execution unit (the NicHook body —
-  /// exposed for tests). Admission, execution, stats, tenant charging,
-  /// and the supervisor all go through the same machinery as the host
-  /// paths; only the cycle charge lands on `unit`, under its cost model.
-  net::NicExecResult invoke_nic(int ash_id, const MsgContext& msg,
-                                SendFn send_fn, sim::Cycles tx_cost,
-                                net::NicExecUnit& unit);
-
  private:
   /// One device hook this handler is attached through (for detach and
-  /// revocation-time hook clearing). Exactly one device pointer is set.
+  /// revocation-time hook clearing).
   struct Attachment {
-    net::An2Device* an2 = nullptr;
-    net::EthernetDevice* eth = nullptr;
-    int channel = 0;  // VC or endpoint id
+    net::RxSink* sink;
+    int channel;  // VC or endpoint id
+  };
+
+  /// Where a dispatch runs. The three sites share one loop and differ
+  /// only in what gets charged:
+  ///  * Host — an inline delivery or a direct invoke, on the main CPU:
+  ///    sandbox entry (budget-timer setup + context install, unless
+  ///    prebound) and timer clear, both inside the run;
+  ///  * RxQueue — a batch an RxQueue fired, on the queue's CPU: the first
+  ///    run pays the full entry, runs 2..N only re-arm the budget timer
+  ///    (CostModel::ash_batch_rearm), the timer is cleared once per batch,
+  ///    and a BatchDispatch trace event records the batch. Queue 0 shares
+  ///    the main CPU with the Host site, so the kind is passed, never
+  ///    inferred from the CPU;
+  ///  * Nic — a NIC execution unit, under its own cost model: unit
+  ///    dispatch + scaled run cycles + reply_issue per reply, plus
+  ///    punt_handoff for every frame not consumed (denied or declined).
+  enum class SiteKind : std::uint8_t { Host, RxQueue, Nic };
+  struct Site {
+    SiteKind kind;
+    std::uint16_t cpu_id;               // admission/trace attribution
+    sim::KernelCpu cpu;                 // charged at Host and RxQueue
+    net::NicExecUnit* unit = nullptr;   // charged at Nic
   };
 
   struct Installed {
@@ -362,31 +355,45 @@ class AshSystem {
   /// must never unwind through the driver).
   Installed* find(int ash_id) noexcept;
 
-  /// Admission shared by invoke and invoke_batch: bad id, revocation,
-  /// quarantine, the tenant cycle quota, and the livelock quota. nullptr
-  /// means the message falls back to the normal delivery path (already
-  /// counted and traced, with `cpu_id` as the denying CPU); `why`, when
-  /// non-null, receives the denial reason so the batch path can
-  /// short-circuit a revoked handler's remaining frames.
-  Installed* admit(int ash_id, std::uint16_t cpu_id,
-                   trace::DenyReason* why = nullptr);
+  /// The one dispatch loop, over same-channel frames (all share handler
+  /// `ash_id` and its `user_arg`). Containment is per message: admission
+  /// (revocation, quarantine, tenant and livelock quotas) runs for every
+  /// frame, and a fault on frame k aborts only that run — the supervisor
+  /// is notified and the remaining frames still execute (or are denied by
+  /// the policy it just triggered). `consumed[i]`, when non-null, is set
+  /// for each committed frame. Sends from committed runs are collected
+  /// and released when the site's one charge for the whole dispatch has
+  /// elapsed, so replies cannot precede the work that produced them.
+  net::NicExecResult dispatch(int ash_id, std::span<const net::RxFrame> frames,
+                              std::uint32_t user_arg, SendFn send_fn,
+                              sim::Cycles tx_cost, const Site& site,
+                              bool* consumed);
 
-  /// One handler run, shared by invoke and invoke_batch. `dispatch` and
-  /// `clear` are the caller's entry/exit charges for THIS message (the
-  /// batch path passes the marginal re-arm cost for messages 2..N and
-  /// folds the single timer clear in at the end), so `total` is the
-  /// marginal share this message adds to the CPU charge. Updates stats,
-  /// the fault record, and the supervisor; emits AshDispatch/AshOutcome.
+  /// Admission: bad id, revocation, quarantine, the tenant cycle quota,
+  /// and the livelock quota. nullptr means the message falls back to the
+  /// normal delivery path (already counted and traced, with `cpu_id` as
+  /// the denying CPU); `why` receives the denial reason so dispatch can
+  /// short-circuit a revoked handler's remaining frames.
+  Installed* admit(int ash_id, std::uint16_t cpu_id, trace::DenyReason* why);
+
+  /// One handler run. `entry` and `clear` are the site's entry/exit
+  /// charges for THIS message (an RxQueue batch passes the marginal
+  /// re-arm cost for messages 2..N and folds its single timer clear in at
+  /// the end), so `total` is the marginal share this message adds to the
+  /// charge. Updates stats, the fault record, and the supervisor; emits
+  /// AshDispatch/AshOutcome.
   struct RunResult {
     vcode::Outcome outcome = vcode::Outcome::Halted;
     bool consumed = false;
-    sim::Cycles total = 0;      // dispatch + exec cycles + clear
+    sim::Cycles total = 0;      // entry + exec cycles + clear
     std::uint64_t insns = 0;
   };
-  RunResult run_one(int ash_id, Installed& ash, const MsgContext& msg,
-                    AshEnv& env, std::uint16_t cpu_id, sim::Cycles dispatch,
-                    sim::Cycles clear);
-  /// Clear all device hooks now (caller must not be inside one of them).
+  RunResult run_one(int ash_id, Installed& ash, const net::RxFrame& frame,
+                    std::uint32_t user_arg, AshEnv& env, std::uint16_t cpu_id,
+                    sim::Cycles entry, sim::Cycles clear);
+  /// Clear one attachment's device hooks and NIC residency now (caller
+  /// must not be inside one of its hooks).
+  void unhook(const Attachment& att);
   void clear_attachments(Installed& ash);
   /// Mark revoked and schedule the hook-clearing after the current event
   /// (safe from inside the handler's own invocation).

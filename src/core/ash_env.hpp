@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "dilp/engine.hpp"
@@ -43,7 +44,8 @@ class AshEnv final : public vcode::Env {
     int channel;
     std::vector<std::uint8_t> bytes;  // snapshot taken at TSend time
   };
-  const std::vector<SendReq>& sends() const noexcept { return sends_; }
+  /// Hand the collected sends over (moved, not copied) for release.
+  std::vector<SendReq> take_sends() noexcept { return std::move(sends_); }
 
   // vcode::Env:
   void bind_regs(std::uint32_t* regs) override { regs_ = regs; }

@@ -1,7 +1,6 @@
 #include "net/an2.hpp"
 
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 
 #include "net/an2_switch.hpp"
@@ -78,8 +77,14 @@ void An2Device::set_kernel_hook(int vc, KernelHook hook) {
   vc_at(vc).hook = std::move(hook);
 }
 
-void An2Device::set_kernel_batch_hook(int vc, KernelBatchHook hook) {
-  vc_at(vc).batch_hook = std::move(hook);
+void An2Device::set_kernel_batch_hook(int vc, FrameHook hook) {
+  vc_at(vc).frame_hook = std::move(hook);
+}
+
+void An2Device::clear_kernel_hooks(int vc) {
+  Vc& v = vc_at(vc);
+  v.hook = nullptr;
+  v.frame_hook = nullptr;
 }
 
 void An2Device::return_buffer(int vc, std::uint32_t addr, std::uint32_t len) {
@@ -186,22 +191,23 @@ void An2Device::deliver(int vc_id, std::vector<std::uint8_t> bytes) {
                                     static_cast<std::uint32_t>(bytes.size()));
   }
   const RxDesc desc{buf.addr, static_cast<std::uint32_t>(bytes.size())};
+  RxFrame f;
+  f.sink = this;
+  f.channel = vc_id;
+  f.addr = desc.addr;
+  f.len = desc.len;
+  f.buf_addr = buf.addr;
+  f.buf_len = buf.len;
+  f.owner = vc.owner;
+  f.driver_cycles = config_.rx_driver_work + node_.cost().demux_an2 +
+                    config_.rx_cache_flush;
 
   if (rxq_ != nullptr) {
     // Multi-queue path: the board's VC demux result steers the frame to a
     // receive queue (free, hardware steering); all kernel work — the
     // per-frame driver/demux/flush pass and hook or notification delivery
     // — happens when the queue's batch fires, on the queue's CPU.
-    RxFrame f;
-    f.sink = this;
-    f.channel = vc_id;
-    f.addr = desc.addr;
-    f.len = desc.len;
-    f.buf_addr = buf.addr;
-    f.buf_len = buf.len;
-    f.owner = vc.owner;
-    f.driver_cycles = config_.rx_driver_work + node_.cost().demux_an2 +
-                      config_.rx_cache_flush;
+    //
     // Smart-NIC offload: frames for NIC-resident VCs never reach a host
     // queue — the processor runs the handler on a device execution unit
     // (or counts a punt/drop). false means "host path, as usual".
@@ -210,33 +216,18 @@ void An2Device::deliver(int vc_id, std::vector<std::uint8_t> bytes) {
     return;
   }
 
-  if (vc.hook) {
-    // Kernel receive hook (the ASH path): interrupt entry + driver work +
-    // cache flush, then the hook runs in kernel context. The hook itself
-    // charges its own execution (node.kernel_work) as needed. When the
-    // handler consumes the message, the kernel recycles the receive buffer
-    // immediately (the handler has copied out what it wanted) — otherwise
-    // the VC would starve after rx_buffers consumed messages.
-    const sim::Cycles driver = node_.cost().interrupt_entry +
-                               config_.rx_driver_work +
-                               node_.cost().demux_an2 + config_.rx_cache_flush;
-    node_.kernel_work(driver, [this, vc_id, desc, buf] {
-      Vc& v = vcs_[static_cast<std::size_t>(vc_id)];
-      const RxEvent ev{vc_id, desc, v.owner};
-      if (v.hook && v.hook(ev)) {
-        v.free_bufs.push_back(buf);  // consumed: recycle
-        return;
-      }
-      // ASH-attached VC falling back to the normal delivery path (handler
-      // denied, aborted without consuming, or detached mid-flight).
-      if (trace::enabled()) {
-        trace::global().emit(trace::make_event(
-            trace::EventType::UpcallFallback, node_.cpu_id(), node_.now(),
-            vc_id, static_cast<std::uint32_t>(trace::NicKind::An2)));
-      }
-      v.notify_ring.push_back(desc);
-      v.arrival.notify(/*boost=*/true);
-    });
+  // Kernel receive hooks (the ASH path): interrupt entry + driver work +
+  // cache flush, then the hook runs in kernel context and charges its own
+  // execution. When the handler consumes the message, the kernel recycles
+  // the receive buffer immediately (the handler has copied out what it
+  // wanted) — otherwise the VC would starve after rx_buffers consumed
+  // messages.
+  if (vc.frame_hook || vc.hook) {
+    node_.kernel_work(node_.cost().interrupt_entry + f.driver_cycles,
+                      [this, f] {
+                        run_hooks({&f, 1}, sim::KernelCpu(node_),
+                                  /*queued=*/false);
+                      });
     return;
   }
 
@@ -267,49 +258,20 @@ void An2Device::rx_batch(std::span<const RxFrame> frames,
   const int vc_id = frames.front().channel;
   Vc& v = vcs_[static_cast<std::size_t>(vc_id)];
 
-  if (v.batch_hook) {
-    std::vector<RxEvent> evs;
-    evs.reserve(frames.size());
-    for (const RxFrame& f : frames) {
-      evs.push_back(RxEvent{vc_id, RxDesc{f.addr, f.len}, f.owner});
-    }
-    std::unique_ptr<bool[]> consumed(new bool[frames.size()]());
-    v.batch_hook(evs, cpu, consumed.get());
-    bool any_fallback = false;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const RxFrame& f = frames[i];
-      if (consumed[i]) {
-        v.free_bufs.push_back(RxDesc{f.buf_addr, f.buf_len});
-        continue;
-      }
-      if (trace::enabled()) {
-        trace::global().emit(trace::make_event(
-            trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-            vc_id, static_cast<std::uint32_t>(trace::NicKind::An2)));
-      }
-      v.notify_ring.push_back(RxDesc{f.addr, f.len});
-      any_fallback = true;
-    }
-    if (any_fallback) v.arrival.notify(/*boost=*/true);
+  if (v.frame_hook) {
+    run_hooks(frames, cpu, /*queued=*/true);
     return;
   }
 
+  // Per-frame hook (no frame hook installed): run it per message.
   for (const RxFrame& f : frames) {
-    const RxDesc desc{f.addr, f.len};
-    if (v.hook) {
-      // Per-frame hook with no batch form installed: run it per message.
-      const RxEvent ev{vc_id, desc, f.owner};
-      if (v.hook(ev)) {
-        v.free_bufs.push_back(RxDesc{f.buf_addr, f.buf_len});
-        continue;
-      }
-      if (trace::enabled()) {
-        trace::global().emit(trace::make_event(
-            trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-            vc_id, static_cast<std::uint32_t>(trace::NicKind::An2)));
-      }
+    if (!v.hook) {
+      v.notify_ring.push_back(RxDesc{f.addr, f.len});
+    } else if (v.hook(RxEvent{vc_id, RxDesc{f.addr, f.len}, f.owner})) {
+      v.free_bufs.push_back(RxDesc{f.buf_addr, f.buf_len});
+    } else {
+      fall_back(f, cpu);
     }
-    v.notify_ring.push_back(desc);
   }
   if (v.interrupt_mode) {
     // One coalesced wakeup per batch (vs one per frame inline).
@@ -319,6 +281,47 @@ void An2Device::rx_batch(std::span<const RxFrame> frames,
   } else {
     v.arrival.notify(/*boost=*/false);
   }
+}
+
+void An2Device::run_hooks(std::span<const RxFrame> frames,
+                          const sim::KernelCpu& cpu, bool queued) {
+  const int vc_id = frames.front().channel;
+  Vc& v = vcs_[static_cast<std::size_t>(vc_id)];
+  bool* consumed = consumed_flags(frames.size());
+  // Neither hook is set when it was cleared (detach, revocation) after
+  // the frames were accepted: they all fall back.
+  if (v.frame_hook) {
+    v.frame_hook(frames, cpu, queued, consumed);
+  } else if (v.hook) {
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const RxFrame& f = frames[i];
+      consumed[i] = v.hook(RxEvent{vc_id, RxDesc{f.addr, f.len}, f.owner});
+    }
+  }
+  bool any_fallback = false;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const RxFrame& f = frames[i];
+    if (consumed[i]) {
+      v.free_bufs.push_back(RxDesc{f.buf_addr, f.buf_len});
+    } else {
+      fall_back(f, cpu);
+      any_fallback = true;
+    }
+  }
+  if (any_fallback) v.arrival.notify(/*boost=*/true);
+}
+
+void An2Device::fall_back(const RxFrame& f, const sim::KernelCpu& cpu) {
+  // Hooked VC falling back to the normal delivery path (handler denied,
+  // aborted without consuming, punted by the NIC, or detached
+  // mid-flight).
+  if (trace::enabled()) {
+    trace::global().emit(trace::make_event(
+        trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
+        f.channel, static_cast<std::uint32_t>(trace::NicKind::An2)));
+  }
+  vcs_[static_cast<std::size_t>(f.channel)].notify_ring.push_back(
+      RxDesc{f.addr, f.len});
 }
 
 void An2Device::rx_drop(const RxFrame& frame) {
@@ -339,18 +342,12 @@ void An2Device::nic_punt(const RxFrame& frame, const sim::KernelCpu& cpu) {
   // receive pass on the steered queue's CPU, then deliver through the
   // fallback notification path. The handler is NOT re-run — it already
   // executed (at most) once on the device.
-  const int vc_id = frame.channel;
   const sim::Cycles host_pass =
       cpu.node().cost().interrupt_entry + frame.driver_cycles;
-  cpu.kernel_work(host_pass, [this, vc_id, frame, cpu] {
-    Vc& v = vcs_[static_cast<std::size_t>(vc_id)];
-    if (trace::enabled()) {
-      trace::global().emit(trace::make_event(
-          trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-          vc_id, static_cast<std::uint32_t>(trace::NicKind::An2)));
-    }
-    v.notify_ring.push_back(RxDesc{frame.addr, frame.len});
-    v.arrival.notify(/*boost=*/true);
+  cpu.kernel_work(host_pass, [this, frame, cpu] {
+    fall_back(frame, cpu);
+    vcs_[static_cast<std::size_t>(frame.channel)].arrival.notify(
+        /*boost=*/true);
   });
 }
 

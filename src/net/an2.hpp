@@ -92,13 +92,6 @@ class An2Device : public RxSink {
   /// notification path.
   using KernelHook = std::function<bool(const RxEvent&)>;
 
-  /// Batched form, used by the multi-queue receive path: all events share
-  /// one VC; the hook sets consumed[i] per message (unset entries fall
-  /// back to the notification path). Runs on the queue's CPU and charges
-  /// its own execution there.
-  using KernelBatchHook = std::function<void(
-      std::span<const RxEvent>, const sim::KernelCpu&, bool* consumed)>;
-
   /// Bind a VC owned by `owner`. Returns the VC id.
   int bind_vc(sim::Process& owner);
 
@@ -122,18 +115,21 @@ class An2Device : public RxSink {
   /// Off (default): pure polling, no kernel involvement per packet.
   void set_interrupt_mode(int vc, bool on);
 
-  /// Install/remove the kernel receive hook for a VC. Passing a null
-  /// hook clears it (detach/revocation); arrivals then take the normal
-  /// notification path with no kernel involvement.
+  /// Install/remove the per-frame kernel receive hook for a VC. Passing a
+  /// null hook clears it; arrivals then take the normal notification
+  /// path with no kernel involvement.
   void set_kernel_hook(int vc, KernelHook hook);
+  /// True while either hook slot (per-frame or frame hook) is set.
   bool has_kernel_hook(int vc) const {
-    return static_cast<bool>(vc_at(vc).hook);
+    const Vc& v = vc_at(vc);
+    return v.hook || v.frame_hook;
   }
 
-  /// Install/remove the batched kernel hook (multi-queue path). When a
-  /// queue set is attached and a batch hook is present it takes priority
-  /// over the per-frame hook for steered batches; null clears it.
-  void set_kernel_batch_hook(int vc, KernelBatchHook hook);
+  /// The frame hook (RxSink) takes priority over the per-frame hook on
+  /// both the inline and the multi-queue path. Consumed frames' buffers
+  /// are recycled; the rest go to the notification ring.
+  void set_kernel_batch_hook(int vc, FrameHook hook) override;
+  void clear_kernel_hooks(int vc) override;
 
   /// Steer arrivals through a multi-queue receive set instead of the
   /// inline per-frame path; nullptr (default) restores the inline path.
@@ -146,7 +142,7 @@ class An2Device : public RxSink {
   /// host RxQueueSet). Requires set_rx_queues; nullptr restores the pure
   /// host path. The processor must outlive the device's traffic.
   void set_nic(NicProcessor* nic) noexcept { nic_ = nic; }
-  NicProcessor* nic() const noexcept { return nic_; }
+  NicProcessor* nic() const noexcept override { return nic_; }
 
   // RxSink: batch delivery from an RxQueue (kernel context, queue CPU).
   void rx_batch(std::span<const RxFrame> frames,
@@ -154,6 +150,12 @@ class An2Device : public RxSink {
   void rx_drop(const RxFrame& frame) override;
   void nic_consumed(const RxFrame& frame) override;
   void nic_punt(const RxFrame& frame, const sim::KernelCpu& cpu) override;
+  bool reply(int vc, std::span<const std::uint8_t> bytes) override {
+    return send(vc, bytes);
+  }
+  sim::Cycles tx_kernel_work() const noexcept override {
+    return config_.tx_kernel_work;
+  }
 
   /// Return a consumed buffer to the free ring (its full original length).
   void return_buffer(int vc, std::uint32_t addr, std::uint32_t len);
@@ -189,7 +191,7 @@ class An2Device : public RxSink {
     std::deque<RxDesc> notify_ring;
     sim::WaitChannel arrival;
     KernelHook hook;
-    KernelBatchHook batch_hook;
+    FrameHook frame_hook;
     bool interrupt_mode = false;
     std::uint64_t drops = 0;
   };
@@ -199,6 +201,15 @@ class An2Device : public RxSink {
   Vc& vc_at(int vc);
   const Vc& vc_at(int vc) const;
   void deliver(int vc, std::vector<std::uint8_t> bytes);
+  /// Offer same-VC frames to the VC's hook (the frame hook, else the
+  /// per-frame hook), recycle the consumed ones and post the rest to the
+  /// ring with one boosted wakeup. Serves inline deliveries and queued
+  /// batches with a frame hook; rx_batch keeps its own per-frame branch.
+  void run_hooks(std::span<const RxFrame> frames, const sim::KernelCpu& cpu,
+                 bool queued);
+  /// Post a frame no hook consumed to the notification ring (traced as
+  /// an upcall fallback); the caller wakes the owner.
+  void fall_back(const RxFrame& f, const sim::KernelCpu& cpu);
 
   sim::Node& node_;
   An2Config config_;

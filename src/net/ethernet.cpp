@@ -90,9 +90,14 @@ void EthernetDevice::set_kernel_hook(int endpoint, KernelHook hook) {
   ep_at(endpoint).hook = std::move(hook);
 }
 
-void EthernetDevice::set_kernel_batch_hook(int endpoint,
-                                           KernelBatchHook hook) {
-  ep_at(endpoint).batch_hook = std::move(hook);
+void EthernetDevice::set_kernel_batch_hook(int endpoint, FrameHook hook) {
+  ep_at(endpoint).frame_hook = std::move(hook);
+}
+
+void EthernetDevice::clear_kernel_hooks(int endpoint) {
+  Endpoint& ep = ep_at(endpoint);
+  ep.hook = nullptr;
+  ep.frame_hook = nullptr;
 }
 
 void EthernetDevice::return_buffer(int endpoint, std::uint32_t addr,
@@ -201,153 +206,94 @@ void EthernetDevice::deliver(std::vector<std::uint8_t> bytes) {
         visited, static_cast<std::uint32_t>(trace::NicKind::Ethernet),
         demux_cost));
   }
+  RxFrame f;
+  f.sink = this;
+  f.channel = ep_id;
+  f.addr = kb->addr;  // striped kernel buffer
+  f.len = len;
+  f.stripe_chunk = 16;
+  f.buf_addr = kb->addr;
+  f.buf_len = len;
+  f.owner = ep_id >= 0 ? endpoints_[static_cast<std::size_t>(ep_id)].owner
+                       : nullptr;
+  f.driver_cycles = config_.rx_driver_work + demux_cost;
   if (rxq_ != nullptr && ep_id >= 0) {
     // Multi-queue path: the DPF match result steers the frame; the
     // driver/demux work and the endpoint's receive path are charged when
     // the queue's batch fires, on the queue's CPU. Unmatched frames stay
     // inline below (no endpoint to steer by).
-    Endpoint& ep = endpoints_[static_cast<std::size_t>(ep_id)];
-    RxFrame f;
-    f.sink = this;
-    f.channel = ep_id;
-    f.addr = kb->addr;  // striped kernel buffer
-    f.len = len;
-    f.buf_addr = kb->addr;
-    f.buf_len = len;
-    f.owner = ep.owner;
-    f.driver_cycles = config_.rx_driver_work + demux_cost;
+    //
     // Smart-NIC offload: frames for NIC-resident endpoints run on a
     // device execution unit; false means "host path, as usual".
     if (nic_ != nullptr && nic_->offer(f)) return;
-    rxq_->steer(ep_id, ep.owner).enqueue(f);
+    rxq_->steer(ep_id, f.owner).enqueue(f);
     return;
   }
 
-  const sim::Cycles driver =
-      node_.cost().interrupt_entry + config_.rx_driver_work + demux_cost;
-
-  const std::uint32_t buf_addr = kb->addr;
-  node_.kernel_work(driver, [this, ep_id, buf_addr, len] {
-    if (ep_id < 0) {
+  // Inline: the interrupt handler runs the endpoint's receive path right
+  // here, in kernel context on the main CPU.
+  node_.kernel_work(node_.cost().interrupt_entry + f.driver_cycles, [this, f] {
+    if (f.channel < 0) {
       ++unmatched_;
-      release_kernel_buf(buf_addr);
+      release_kernel_buf(f.buf_addr);
       return;
     }
-    Endpoint& ep = endpoints_[static_cast<std::size_t>(ep_id)];
-    const RxDesc striped{buf_addr, len};
-
-    if (ep.hook) {
-      // ASH path: the handler directs (and pays for) the one copy itself.
-      // A declined hook (voluntary/involuntary abort) falls through to the
-      // default copy-out below, which still holds the kernel buffer.
-      const RxEvent ev{ep_id, striped, ep.owner};
-      if (ep.hook(ev)) {
-        release_kernel_buf(buf_addr);
-        return;
-      }
-      // Declined by the handler: this frame takes the default copy-out.
-      if (trace::enabled()) {
-        trace::global().emit(trace::make_event(
-            trace::EventType::UpcallFallback, node_.cpu_id(), node_.now(),
-            ep_id, static_cast<std::uint32_t>(trace::NicKind::Ethernet)));
-      }
-    }
-
-    // Default path: the kernel copies the frame out of the scarce buffer
-    // into the endpoint's supplied app buffer right here, in the handler.
-    if (ep.free_bufs.empty() || ep.free_bufs.front().len < len) {
-      drops_ += 1;
-      release_kernel_buf(buf_addr);
-      return;
-    }
-    const RxDesc dst = ep.free_bufs.front();
-    ep.free_bufs.pop_front();
-    const sim::Cycles copy_cycles =
-        sim::memops::copy_destripe(node_, dst.addr, buf_addr, len);
-    node_.kernel_work(copy_cycles);
-    release_kernel_buf(buf_addr);
-
-    ep.notify_ring.push_back({dst.addr, len});
-    if (ep.interrupt_mode) {
-      node_.kernel_work(node_.cost().wakeup, [this, ep_id] {
-        endpoints_[static_cast<std::size_t>(ep_id)].arrival.notify(true);
-      });
-    } else {
-      ep.arrival.notify(false);
-    }
+    receive({&f, 1}, sim::KernelCpu(node_), /*queued=*/false);
   });
 }
 
-void EthernetDevice::rx_batch(std::span<const RxFrame> frames,
-                              const sim::KernelCpu& cpu) {
+void EthernetDevice::receive(std::span<const RxFrame> frames,
+                             const sim::KernelCpu& cpu, bool queued) {
   if (frames.empty()) return;
   const int ep_id = frames.front().channel;
   Endpoint& ep = endpoints_[static_cast<std::size_t>(ep_id)];
-
-  // Default copy-out for one frame the hooks did not consume: the kernel
-  // copies the striped buffer into the endpoint's supplied app buffer,
-  // charging the copy on the queue's CPU, then recycles the kernel buffer.
-  const auto default_copy_out = [this, &ep, &cpu](const RxFrame& f) {
-    if (ep.free_bufs.empty() || ep.free_bufs.front().len < f.len) {
-      drops_ += 1;
-      release_kernel_buf(f.buf_addr);
-      return false;
-    }
-    const RxDesc dst = ep.free_bufs.front();
-    ep.free_bufs.pop_front();
-    const sim::Cycles copy_cycles =
-        sim::memops::copy_destripe(node_, dst.addr, f.buf_addr, f.len);
-    cpu.kernel_work(copy_cycles);
-    release_kernel_buf(f.buf_addr);
-    ep.notify_ring.push_back({dst.addr, f.len});
-    return true;
-  };
-
+  bool* consumed = consumed_flags(frames.size());
+  if (ep.frame_hook) ep.frame_hook(frames, cpu, queued, consumed);
   std::size_t delivered = 0;
-  if (ep.batch_hook) {
-    std::vector<RxEvent> evs;
-    evs.reserve(frames.size());
-    for (const RxFrame& f : frames) {
-      evs.push_back(RxEvent{ep_id, RxDesc{f.addr, f.len}, f.owner});
-    }
-    std::unique_ptr<bool[]> consumed(new bool[frames.size()]());
-    ep.batch_hook(evs, cpu, consumed.get());
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const RxFrame& f = frames[i];
-      if (consumed[i]) {
-        release_kernel_buf(f.buf_addr);
-        continue;
-      }
-      if (trace::enabled()) {
-        trace::global().emit(trace::make_event(
-            trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-            ep_id, static_cast<std::uint32_t>(trace::NicKind::Ethernet)));
-      }
-      if (default_copy_out(f)) ++delivered;
-    }
-  } else {
-    for (const RxFrame& f : frames) {
-      if (ep.hook) {
-        const RxEvent ev{ep_id, RxDesc{f.addr, f.len}, f.owner};
-        if (ep.hook(ev)) {
-          release_kernel_buf(f.buf_addr);
-          continue;
-        }
-        if (trace::enabled()) {
-          trace::global().emit(trace::make_event(
-              trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-              ep_id, static_cast<std::uint32_t>(trace::NicKind::Ethernet)));
-        }
-      }
-      if (default_copy_out(f)) ++delivered;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const RxFrame& f = frames[i];
+    // A per-frame hook runs frame by frame, interleaved with copy-outs.
+    const bool hooked = ep.frame_hook || ep.hook;
+    if (ep.frame_hook ? consumed[i]
+                      : ep.hook && ep.hook(RxEvent{ep_id, RxDesc{f.addr, f.len},
+                                                   f.owner})) {
+      release_kernel_buf(f.buf_addr);
+    } else if (copy_out(f, cpu, /*declined=*/hooked)) {
+      ++delivered;
     }
   }
+  if (delivered != 0) wake(ep_id, cpu);
+}
 
-  if (delivered == 0) return;
+bool EthernetDevice::copy_out(const RxFrame& f, const sim::KernelCpu& cpu,
+                              bool declined) {
+  Endpoint& ep = endpoints_[static_cast<std::size_t>(f.channel)];
+  if (declined && trace::enabled()) {
+    trace::global().emit(trace::make_event(
+        trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
+        f.channel, static_cast<std::uint32_t>(trace::NicKind::Ethernet)));
+  }
+  if (ep.free_bufs.empty() || ep.free_bufs.front().len < f.len) {
+    drops_ += 1;
+    release_kernel_buf(f.buf_addr);
+    return false;
+  }
+  const RxDesc dst = ep.free_bufs.front();
+  ep.free_bufs.pop_front();
+  const sim::Cycles copy_cycles =
+      sim::memops::copy_destripe(node_, dst.addr, f.buf_addr, f.len);
+  cpu.kernel_work(copy_cycles);
+  release_kernel_buf(f.buf_addr);
+  ep.notify_ring.push_back({dst.addr, f.len});
+  return true;
+}
+
+void EthernetDevice::wake(int endpoint, const sim::KernelCpu& cpu) {
+  Endpoint& ep = endpoints_[static_cast<std::size_t>(endpoint)];
   if (ep.interrupt_mode) {
     // One coalesced wakeup per batch (vs one per frame inline).
-    cpu.kernel_work(node_.cost().wakeup, [this, ep_id] {
-      endpoints_[static_cast<std::size_t>(ep_id)].arrival.notify(true);
+    cpu.kernel_work(node_.cost().wakeup, [this, endpoint] {
+      endpoints_[static_cast<std::size_t>(endpoint)].arrival.notify(true);
     });
   } else {
     ep.arrival.notify(/*boost=*/false);
@@ -370,35 +316,10 @@ void EthernetDevice::nic_punt(const RxFrame& frame,
   // Hand-back from the device: charge the host's per-frame receive pass
   // on the steered queue's CPU, then take the default copy-out path (the
   // handler is NOT re-run — it already executed at most once on-device).
-  const int ep_id = frame.channel;
   const sim::Cycles host_pass =
       cpu.node().cost().interrupt_entry + frame.driver_cycles;
-  cpu.kernel_work(host_pass, [this, ep_id, frame, cpu] {
-    Endpoint& ep = endpoints_[static_cast<std::size_t>(ep_id)];
-    if (trace::enabled()) {
-      trace::global().emit(trace::make_event(
-          trace::EventType::UpcallFallback, cpu.cpu_id(), node_.now(),
-          ep_id, static_cast<std::uint32_t>(trace::NicKind::Ethernet)));
-    }
-    if (ep.free_bufs.empty() || ep.free_bufs.front().len < frame.len) {
-      drops_ += 1;
-      release_kernel_buf(frame.buf_addr);
-      return;
-    }
-    const RxDesc dst = ep.free_bufs.front();
-    ep.free_bufs.pop_front();
-    const sim::Cycles copy_cycles = sim::memops::copy_destripe(
-        node_, dst.addr, frame.buf_addr, frame.len);
-    cpu.kernel_work(copy_cycles);
-    release_kernel_buf(frame.buf_addr);
-    ep.notify_ring.push_back({dst.addr, frame.len});
-    if (ep.interrupt_mode) {
-      cpu.kernel_work(node_.cost().wakeup, [this, ep_id] {
-        endpoints_[static_cast<std::size_t>(ep_id)].arrival.notify(true);
-      });
-    } else {
-      ep.arrival.notify(/*boost=*/false);
-    }
+  cpu.kernel_work(host_pass, [this, frame, cpu] {
+    if (copy_out(frame, cpu, /*declined=*/true)) wake(frame.channel, cpu);
   });
 }
 

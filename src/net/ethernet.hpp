@@ -74,13 +74,6 @@ class EthernetDevice : public RxSink {
   };
   using KernelHook = std::function<bool(const RxEvent&)>;
 
-  /// Batched form for the multi-queue receive path: all events share one
-  /// endpoint; consumed[i] set per frame means the hook copied it out and
-  /// the kernel buffer can be recycled (unset frames take the default
-  /// copy-out path). Runs on the queue's CPU and charges there.
-  using KernelBatchHook = std::function<void(
-      std::span<const RxEvent>, const sim::KernelCpu&, bool* consumed)>;
-
   /// Attach an endpoint: frames matching `filter` (DPF) belong to `owner`.
   /// Returns the endpoint id.
   int attach(sim::Process& owner, dpf::Filter filter);
@@ -98,16 +91,22 @@ class EthernetDevice : public RxSink {
   std::optional<RxDesc> poll(int endpoint);
   sim::WaitChannel& arrival_channel(int endpoint);
   void set_interrupt_mode(int endpoint, bool on);
-  /// Install/remove the kernel receive hook. Passing a null hook clears
-  /// it (detach/revocation); frames then take the default copy-out path.
+  /// Install/remove the per-frame kernel receive hook. Passing a null
+  /// hook clears it; frames then take the default copy-out path.
   void set_kernel_hook(int endpoint, KernelHook hook);
+  /// True while either hook slot (per-frame or frame hook) is set.
   bool has_kernel_hook(int endpoint) const {
-    return static_cast<bool>(ep_at(endpoint).hook);
+    const Endpoint& ep = ep_at(endpoint);
+    return ep.hook || ep.frame_hook;
   }
 
-  /// Install/remove the batched kernel hook (multi-queue path); takes
-  /// priority over the per-frame hook for steered batches.
-  void set_kernel_batch_hook(int endpoint, KernelBatchHook hook);
+  /// The frame hook (RxSink) takes priority over the per-frame hook on
+  /// both the inline and the multi-queue path. Its frames are offered in
+  /// the STRIPED kernel buffer (RxFrame::stripe_chunk = 16); a consumed
+  /// frame's kernel buffer is recycled, the rest take the default
+  /// copy-out path.
+  void set_kernel_batch_hook(int endpoint, FrameHook hook) override;
+  void clear_kernel_hooks(int endpoint) override;
 
   /// Steer matched frames through a multi-queue receive set; nullptr
   /// (default) restores the inline path. Unmatched frames are always
@@ -119,14 +118,24 @@ class EthernetDevice : public RxSink {
   /// contract as An2Device::set_nic): matched frames for NIC-resident
   /// endpoints are offered to it at steer time.
   void set_nic(NicProcessor* nic) noexcept { nic_ = nic; }
-  NicProcessor* nic() const noexcept { return nic_; }
+  NicProcessor* nic() const noexcept override { return nic_; }
 
   // RxSink: batch delivery from an RxQueue (kernel context, queue CPU).
   void rx_batch(std::span<const RxFrame> frames,
-                const sim::KernelCpu& cpu) override;
+                const sim::KernelCpu& cpu) override {
+    receive(frames, cpu, /*queued=*/true);
+  }
   void rx_drop(const RxFrame& frame) override;
   void nic_consumed(const RxFrame& frame) override;
   void nic_punt(const RxFrame& frame, const sim::KernelCpu& cpu) override;
+  /// One Ethernet segment: the reply goes to the peer, whatever `channel`.
+  bool reply(int channel, std::span<const std::uint8_t> bytes) override {
+    (void)channel;
+    return send(bytes);
+  }
+  sim::Cycles tx_kernel_work() const noexcept override {
+    return config_.tx_kernel_work;
+  }
   void return_buffer(int endpoint, std::uint32_t addr, std::uint32_t len);
 
   std::uint64_t drops() const noexcept { return drops_; }
@@ -161,7 +170,7 @@ class EthernetDevice : public RxSink {
     std::deque<RxDesc> notify_ring;
     sim::WaitChannel arrival;
     KernelHook hook;
-    KernelBatchHook batch_hook;
+    FrameHook frame_hook;
     bool interrupt_mode = false;
   };
 
@@ -173,6 +182,19 @@ class EthernetDevice : public RxSink {
   Endpoint& ep_at(int id);
   const Endpoint& ep_at(int id) const;
   void deliver(std::vector<std::uint8_t> bytes);
+  /// The endpoint's receive path for a run of its frames, inline (one
+  /// frame, main CPU) or from an RxQueue: hooks, then the default copy-out
+  /// for every frame they did not consume.
+  void receive(std::span<const RxFrame> frames, const sim::KernelCpu& cpu,
+               bool queued);
+  /// Default copy-out of one frame: copy the striped kernel buffer into
+  /// the endpoint's next app buffer (charged on `cpu`), post it to the
+  /// ring and recycle the kernel buffer. `declined` (a hook passed on the
+  /// frame) traces the fallback. False: no app buffer fits; dropped.
+  bool copy_out(const RxFrame& f, const sim::KernelCpu& cpu, bool declined);
+  /// Wake the endpoint's owner after copy-outs: a wakeup charged on `cpu`
+  /// in interrupt mode, else a polling token.
+  void wake(int endpoint, const sim::KernelCpu& cpu);
   void release_kernel_buf(std::uint32_t addr);
 
   sim::Node& node_;

@@ -148,8 +148,8 @@ class NicExecUnit {
   std::size_t unit_;
 };
 
-/// What one NIC-side invocation did (returned by the installed NicHook,
-/// i.e. by AshSystem::invoke_nic).
+/// What one NIC-side invocation did (returned by the NicHook that
+/// AshSystem::offload installs).
 struct NicExecResult {
   bool ran = false;       // admission passed and the handler executed
   bool consumed = false;  // committed: the message is fully handled

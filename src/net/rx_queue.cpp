@@ -1,5 +1,7 @@
 #include "net/rx_queue.hpp"
 
+#include <algorithm>
+
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
 
@@ -21,6 +23,15 @@ const char* to_string(FireReason r) noexcept {
     case FireReason::Poll: return "poll";
   }
   return "?";
+}
+
+bool* RxSink::consumed_flags(std::size_t n) {
+  if (n > consumed_cap_) {
+    consumed_ = std::make_unique<bool[]>(n);
+    consumed_cap_ = n;
+  }
+  std::fill_n(consumed_.get(), n, false);
+  return consumed_.get();
 }
 
 std::size_t SteeringPolicy::pick(int channel, const sim::Process* owner,
@@ -189,7 +200,7 @@ void RxQueue::deliver_batch(std::vector<RxFrame> batch) {
     if (quota_ != nullptr) quota_->on_dispatched(f.owner);
   }
   // Group consecutive same-(sink, channel) runs so each sink sees a
-  // maximal batch for one demux point (what invoke_batch amortizes).
+  // maximal batch for one demux point (what its frame hook amortizes).
   std::size_t i = 0;
   while (i < batch.size()) {
     std::size_t j = i + 1;

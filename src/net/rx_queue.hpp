@@ -11,10 +11,10 @@
 //    CPU cycles — exactly like the AN2's hardware VC demux.
 //
 //  * per-CPU queues — each RxQueue runs its kernel work (driver pass +
-//    batched ASH dispatch) on its own sim::KernelCpu. Queue 0 uses the
-//    node's main CPU, so a 1-queue configuration keeps the paper's
-//    single-CPU contention semantics; queues 1..N-1 use auxiliary rx
-//    CPUs (Node::add_rx_cpu).
+//    the channel's frame hook, i.e. batched ASH dispatch) on its own
+//    sim::KernelCpu. Queue 0 uses the node's main CPU, so a 1-queue
+//    configuration keeps the paper's single-CPU contention semantics;
+//    queues 1..N-1 use auxiliary rx CPUs (Node::add_rx_cpu).
 //
 //  * coalescing — with CoalesceConfig::enabled, arrivals accumulate and
 //    the queue charges ONE interrupt entry per fired batch instead of
@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -49,22 +50,34 @@
 
 namespace ash::net {
 
+class NicProcessor;
 class RxSink;
 
-/// One steered frame parked in an RxQueue. The device fills everything at
-/// steer time; `driver_cycles` is the per-frame driver/demux work the
-/// batch fire charges (excluding the per-batch interrupt entry).
+/// One received frame, demultiplexed to a channel. The device fills
+/// everything at steer time; `driver_cycles` is the per-frame driver/demux
+/// work the batch fire charges (excluding the per-batch interrupt entry).
 struct RxFrame {
   RxSink* sink = nullptr;
   int channel = -1;              // AN2 VC or Ethernet endpoint id
   std::uint32_t addr = 0;        // delivered message location
   std::uint32_t len = 0;
+  std::uint32_t stripe_chunk = 0;  // nonzero: `addr` is device-striped
   std::uint32_t buf_addr = 0;    // original rx buffer (recycled on drop)
   std::uint32_t buf_len = 0;
   sim::Process* owner = nullptr;
   sim::Cycles driver_cycles = 0;
   sim::Cycles enqueued_at = 0;
 };
+
+/// A channel's kernel receive hook over a run of its frames: the ASH
+/// attachment point on both devices. `queued` is true when an RxQueue
+/// fired the batch, false for an inline delivery (one frame, on the
+/// node's main CPU). The hook charges its own work on `cpu` and sets
+/// consumed[i] for each frame it consumed; the device sends the unset
+/// ones down its normal delivery path.
+using FrameHook = std::function<void(std::span<const RxFrame> frames,
+                                     const sim::KernelCpu& cpu, bool queued,
+                                     bool* consumed)>;
 
 /// Device-side consumer of a fired batch. Both NIC models implement this;
 /// the queue groups consecutive same-(sink, channel) frames before
@@ -98,6 +111,38 @@ class RxSink {
     (void)frame;
     (void)cpu;
   }
+  /// The handler processor in front of this device's queues, if any.
+  virtual NicProcessor* nic() const noexcept { return nullptr; }
+
+  // ---- ASH attachment (core::AshSystem::attach/offload/detach) ----
+  //
+  // Default no-ops for the same reason as the offload calls above.
+
+  /// Install the channel's frame hook (a null hook removes it).
+  virtual void set_kernel_batch_hook(int channel, FrameHook hook) {
+    (void)channel;
+    (void)hook;
+  }
+  /// Remove every kernel hook on the channel: the frame hook and any
+  /// device-specific per-frame hook. Its frames then take the normal path.
+  virtual void clear_kernel_hooks(int channel) { (void)channel; }
+  /// Transmit a handler's reply (a released TSend) on this device.
+  virtual bool reply(int channel, std::span<const std::uint8_t> bytes) {
+    (void)channel;
+    (void)bytes;
+    return false;
+  }
+  /// Kernel-side transmit work per reply (charged per TSend).
+  virtual sim::Cycles tx_kernel_work() const noexcept { return 0; }
+
+ protected:
+  /// `n` cleared consumed flags for one FrameHook call. The buffer is
+  /// reused from call to call, so a batch allocates nothing.
+  bool* consumed_flags(std::size_t n);
+
+ private:
+  std::unique_ptr<bool[]> consumed_;
+  std::size_t consumed_cap_ = 0;
 };
 
 /// Why an RxQueue dropped a frame before dispatch (RxDrop arg1; keep in

@@ -381,7 +381,7 @@ std::string format_queues(const Tracer& t) {
     }
   }
   // Batched dispatch per handler rides alongside the queue tables: how
-  // well the coalescer fed AshSystem::invoke_batch.
+  // well the coalescer fed the RX-queue dispatch site.
   out += "== batched handlers ==\n";
   for (std::int32_t id = 0; id <= t.max_ash_slot(); ++id) {
     const AshMetrics& m = t.ash_metrics(id);

@@ -264,7 +264,7 @@ ReplayResult replay(const RuleSet& rs, const Frames& frames, bool offload) {
       }
     }
     if (id >= 0) {
-      const bool resident = ash.offload_an2(dev_b, kAttachVc, id, state_addr);
+      const bool resident = ash.offload(dev_b, kAttachVc, id, state_addr);
       EXPECT_EQ(resident, offload);
     }
     co_await self.sleep_for(us(1e6));

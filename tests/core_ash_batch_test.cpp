@@ -1,4 +1,4 @@
-// Batched ASH dispatch (AshSystem::invoke_batch): charge amortization,
+// Batched ASH dispatch (AshSystem's RX-queue site): charge amortization,
 // and the ISSUE-5 containment property — a handler that faults mid-batch
 // must not poison the rest of the batch, with admission re-checked per
 // message so supervisor state changes take effect within the batch.
@@ -97,7 +97,7 @@ struct BatchWorld {
             64);
       }
       ctr_addr = self.segment().base + 0x80000;
-      ash_b->attach_an2(*dev_b, vc, id, ctr_addr);
+      ash_b->attach(*dev_b, vc, id, ctr_addr);
       co_await self.sleep_for(us(1e6));
     });
   }

@@ -117,7 +117,7 @@ TEST(AshSystem, RemoteIncrementEndToEnd) {
     const int id =
         w.ash_b->download(self, remote_increment_ash(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id, counter_addr);
+    w.ash_b->attach(*w.dev_b, vc, id, counter_addr);
     // The owner sleeps; the ASH handles everything in kernel context.
     co_await self.sleep_for(us(100000.0));
     EXPECT_EQ(w.ash_b->stats(id).invocations, 3u);
@@ -155,7 +155,7 @@ TEST(AshSystem, VoluntaryAbortFallsBackToNormalDelivery) {
     std::string error;
     const int id = w.ash_b->download(self, bld.take(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await w.dev_b->arrival_channel(vc).wait(self);
     EXPECT_TRUE(w.dev_b->poll(vc).has_value());  // delivered normally
     EXPECT_EQ(w.ash_b->stats(id).voluntary_aborts, 1u);
@@ -180,7 +180,7 @@ TEST(AshSystem, RunawayHandlerIsInvoluntarilyAborted) {
     std::string error;
     const int id = w.ash_b->download(self, bld.take(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await w.dev_b->arrival_channel(vc).wait(self);
     EXPECT_TRUE(w.dev_b->poll(vc).has_value());
     EXPECT_EQ(w.ash_b->stats(id).involuntary_aborts, 1u);
@@ -214,7 +214,7 @@ TEST(AshSystem, WildStoresCannotEscapeOwnerSegment) {
     std::string error;
     const int id = w.ash_b->download(self, bld.take(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await self.sleep_for(us(20000.0));
     EXPECT_EQ(w.ash_b->stats(id).commits, 1u);  // it ran...
   });
@@ -250,7 +250,7 @@ TEST(AshSystem, WildStoresCannotEscapeOwnerSegment) {
     std::string error;
     const int id = w2.ash_b->download(self, bld.take(), unsafe, &error);
     EXPECT_GE(id, 0) << error;
-    w2.ash_b->attach_an2(*w2.dev_b, vc, id);
+    w2.ash_b->attach(*w2.dev_b, vc, id);
     co_await self.sleep_for(us(20000.0));
   });
   w2.sim.queue().schedule_at(us(200.0), [&] {
@@ -304,7 +304,7 @@ TEST(AshSystem, DilpFromHandlerWithPersistentExchange) {
     std::string err2;
     const int id = w.ash_b->download(self, bld.take(), {}, &err2);
     EXPECT_GE(id, 0) << err2;
-    w.ash_b->attach_an2(*w.dev_b, vc, id, dst_addr);
+    w.ash_b->attach(*w.dev_b, vc, id, dst_addr);
     co_await self.sleep_for(us(50000.0));
   });
   w.sim.queue().schedule_at(us(200.0), [&] { w.dev_a->send(0, payload); });
@@ -332,7 +332,7 @@ TEST(AshSystem, LivelockQuotaDefersExcessMessages) {
     bld.halt();
     std::string error;
     const int id = w.ash_b->download(self, bld.take(), {}, &error);
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await self.sleep_for(us(50000.0));
     // 5 messages: 2 via the ASH, 3 deferred to normal delivery.
     EXPECT_EQ(w.ash_b->stats(id).commits, 2u);
@@ -374,8 +374,8 @@ TEST(AshSystem, LivelockQuotaIsSharedAcrossOneOwnersHandlers) {
     bld2.movi(kRegArg0, 1);
     bld2.halt();
     const int id1 = w.ash_b->download(self, bld2.take(), {}, &error);
-    w.ash_b->attach_an2(*w.dev_b, vc0, id0);
-    w.ash_b->attach_an2(*w.dev_b, vc1, id1);
+    w.ash_b->attach(*w.dev_b, vc0, id0);
+    w.ash_b->attach(*w.dev_b, vc1, id1);
     co_await self.sleep_for(us(50000.0));
 
     const auto& s0 = w.ash_b->stats(id0);
@@ -456,7 +456,7 @@ TEST(AshSystem, AshFasterThanUpcallForRemoteIncrement) {
         std::string error;
         const int id =
             w.ash_b->download(self, remote_increment_ash(), {}, &error);
-        w.ash_b->attach_an2(*w.dev_b, vc, id, ctr);
+        w.ash_b->attach(*w.dev_b, vc, id, ctr);
       } else {
         upcalls.attach_an2(*w.dev_b, vc, [&w, ctr](const UpcallManager::Ctx& ctx) {
           std::uint32_t v;

@@ -205,7 +205,7 @@ TEST(Quarantine, FaultThresholdQuarantinesAndSkipsAtLowCost) {
     std::string error;
     const int id = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await self.sleep_for(us(20000.0));
 
     const AshStats& s = w.ash_b->stats(id);
@@ -258,7 +258,7 @@ TEST(Quarantine, ProbeFaultEscalatesToRevocationAndClearsHook) {
     std::string error;
     const int id = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     EXPECT_TRUE(w.dev_b->has_kernel_hook(vc));
     co_await self.sleep_for(us(50000.0));
 
@@ -272,7 +272,7 @@ TEST(Quarantine, ProbeFaultEscalatesToRevocationAndClearsHook) {
     // Message 4 took the plain device path: the ASH system never saw it.
     EXPECT_EQ(s.revoked_skips, 0u);
     // Revocation already cleared the attachment; detach finds nothing.
-    EXPECT_FALSE(w.ash_b->detach_an2(*w.dev_b, vc));
+    EXPECT_FALSE(w.ash_b->detach(*w.dev_b, vc));
 
     int delivered = 0;
     while (w.dev_b->poll(vc).has_value()) ++delivered;
@@ -304,7 +304,7 @@ TEST(Quarantine, CleanProbationRunsRestoreHealthy) {
     std::string error;
     const int id = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await self.sleep_for(us(50000.0));
 
     const AshStats& s = w.ash_b->stats(id);
@@ -344,8 +344,8 @@ TEST(Quarantine, OwnerFaultLimitRevokesEveryHandlerOfTheProcess) {
     const int id1 = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
     EXPECT_GE(id0, 0);
     EXPECT_GE(id1, 0);
-    w.ash_b->attach_an2(*w.dev_b, vc0, id0);
-    w.ash_b->attach_an2(*w.dev_b, vc1, id1);
+    w.ash_b->attach(*w.dev_b, vc0, id0);
+    w.ash_b->attach(*w.dev_b, vc1, id1);
     co_await self.sleep_for(us(50000.0));
 
     // Faults aggregate across the owner's handlers: vc0, vc1, vc0 -> the
@@ -373,7 +373,7 @@ TEST(Quarantine, ExplicitRevokeDeniesEvenWithSupervisorDisabled) {
     std::string error;
     const int id = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
     co_await self.sleep_for(us(2000.0));
     EXPECT_EQ(w.ash_b->stats(id).commits, 1u);
 
@@ -413,18 +413,18 @@ TEST(Quarantine, DetachClearsHooksOnBothDeviceKinds) {
     std::string error;
     const int id = w.ash_b->download(self, div_by_word0_ash(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    w.ash_b->attach_an2(*w.dev_b, vc, id);
-    w.ash_b->attach_eth(eth_b, ep, id);
+    w.ash_b->attach(*w.dev_b, vc, id);
+    w.ash_b->attach(eth_b, ep, id);
     EXPECT_TRUE(w.dev_b->has_kernel_hook(vc));
     EXPECT_TRUE(eth_b.has_kernel_hook(ep));
 
-    EXPECT_TRUE(w.ash_b->detach_an2(*w.dev_b, vc));
+    EXPECT_TRUE(w.ash_b->detach(*w.dev_b, vc));
     EXPECT_FALSE(w.dev_b->has_kernel_hook(vc));
-    EXPECT_FALSE(w.ash_b->detach_an2(*w.dev_b, vc));  // already gone
+    EXPECT_FALSE(w.ash_b->detach(*w.dev_b, vc));  // already gone
 
-    EXPECT_TRUE(w.ash_b->detach_eth(eth_b, ep));
+    EXPECT_TRUE(w.ash_b->detach(eth_b, ep));
     EXPECT_FALSE(eth_b.has_kernel_hook(ep));
-    EXPECT_FALSE(w.ash_b->detach_eth(eth_b, ep));
+    EXPECT_FALSE(w.ash_b->detach(eth_b, ep));
 
     // The handler itself is untouched by detach: still Healthy.
     EXPECT_EQ(w.ash_b->health(id), Health::Healthy);

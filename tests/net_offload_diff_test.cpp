@@ -190,10 +190,10 @@ Delivered replay(const std::vector<CorpusMsg>& corpus,
         ctr_addr[v - kFirstAshVc] =
             self.segment().base + 0x80000 + 0x100u * (v - kFirstAshVc);
         const int id = v == kFirstAshVc ? id_inc : id_par;
-        // offload_an2 falls back to a plain host attach when no NIC is
+        // offload falls back to a plain host attach when no NIC is
         // present — one code path for every case in the table.
         const bool res =
-            ash_sys.offload_an2(dev_b, vc, id, ctr_addr[v - kFirstAshVc]);
+            ash_sys.offload(dev_b, vc, id, ctr_addr[v - kFirstAshVc]);
         if (cfg.nic_units > 0) {
           EXPECT_EQ(res, !(cfg.tiny_window && v != kFirstAshVc))
               << cfg.name << " vc " << v;
@@ -324,9 +324,9 @@ TEST(OffloadDiff, CorpusDeliveryAndStatsIdenticalHostVsOffload) {
 }
 
 // ---------------------------------------------------------------------------
-// offload_eth end-to-end: the Ethernet device's DPF-demuxed receive path
+// offload on Ethernet end to end: the device's DPF-demuxed receive path
 // drives the same NIC units as An2 (striped message access, device-framed
-// replies). A plain attach_eth run is ground truth: the counter, the
+// replies). A plain attach run is ground truth: the counter, the
 // echoed-reply set at the sender, and the handler's outcome taxonomy must
 // match with every frame executing on-device in the offload run.
 // ---------------------------------------------------------------------------
@@ -375,9 +375,9 @@ EthRun replay_eth(bool offload) {
       nc.units_per_queue = 2;
       nic = std::make_unique<NicProcessor>(b, rxq, nc);
       dev_b.set_nic(nic.get());
-      EXPECT_TRUE(ash_sys.offload_eth(dev_b, ep, id, ctr_addr));
+      EXPECT_TRUE(ash_sys.offload(dev_b, ep, id, ctr_addr));
     } else {
-      ash_sys.attach_eth(dev_b, ep, id, ctr_addr);
+      ash_sys.attach(dev_b, ep, id, ctr_addr);
     }
     co_await self.sleep_for(us(1e6));
   });

@@ -138,7 +138,7 @@ Delivered replay(const std::vector<CorpusMsg>& corpus,
       if (v >= kFirstAshVc) {
         ctr_addr[v - kFirstAshVc] =
             self.segment().base + 0x80000 + 0x100u * (v - kFirstAshVc);
-        ash_sys.attach_an2(dev_b, vc, id, ctr_addr[v - kFirstAshVc]);
+        ash_sys.attach(dev_b, vc, id, ctr_addr[v - kFirstAshVc]);
       }
     }
     co_await self.sleep_for(us(1e6));

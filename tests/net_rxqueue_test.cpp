@@ -334,7 +334,7 @@ ReplyTrace run_remote_increment(bool queued, int messages) {
       dev_b.supply_buffer(vc, self.segment().base + 64u * i, 64);
     }
     ctr_addr = self.segment().base + 0x80000;
-    ash_sys.attach_an2(dev_b, vc, id, ctr_addr);
+    ash_sys.attach(dev_b, vc, id, ctr_addr);
     co_await self.sleep_for(us(1e6));
   });
 
@@ -520,9 +520,10 @@ TEST(RxQueue, EthernetBatchHookConsumesAndDeclinedFramesFallBack) {
     // Kernel batch hook that consumes every other frame; declined frames
     // must take the default copy-out and surface on the notify ring.
     dev_b.set_kernel_batch_hook(
-        ep, [&](std::span<const EthernetDevice::RxEvent> evs,
-                const KernelCpu& cpu, bool* consumed) {
+        ep, [&](std::span<const RxFrame> evs, const KernelCpu& cpu,
+                bool queued, bool* consumed) {
           (void)cpu;
+          (void)queued;
           for (std::size_t i = 0; i < evs.size(); ++i) {
             ++seen_by_hook;
             consumed[i] = (i % 2) == 0;

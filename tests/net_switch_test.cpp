@@ -146,8 +146,8 @@ TEST(An2Switch, RemoteIncrementThroughSwitch) {
     const int id = ash_hub.download(
         self, ashlib::make_remote_increment(), {}, &error);
     EXPECT_GE(id, 0) << error;
-    ash_hub.attach_an2(*s.dev_hub, vc0, id, ctr);
-    ash_hub.attach_an2(*s.dev_hub, vc1, id, ctr);
+    ash_hub.attach(*s.dev_hub, vc0, id, ctr);
+    ash_hub.attach(*s.dev_hub, vc1, id, ctr);
     co_await self.sleep_for(us(200000.0));
     EXPECT_EQ(ash_hub.stats(id).commits, 4u);
   });
