@@ -126,7 +126,8 @@ double user_level_ethernet() {
             dev->return_buffer(ep, d->addr, 128);
             break;
           }
-          co_await self.compute(node->cost().poll_iteration);
+          co_await self.spin(node->cost().poll_iteration, sim::kNever,
+                             [dev, ep] { return dev->rx_pending(ep); });
         }
         if (!client) {
           co_await self.syscall(dev->config().tx_kernel_work +

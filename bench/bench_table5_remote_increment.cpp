@@ -78,10 +78,10 @@ double rtt_us(Mode mode, bool suspended) {
     if (suspended) {
       co_await self.sleep_for(us(1e6));
     } else {
-      for (;;) {
-        co_await self.compute(self.node().cost().poll_iteration);
-        if (self.node().now() > sim::us(9e5)) break;
-      }
+      // Poll with nothing to find until past 900 ms; entered long before
+      // then, so every check up to there charges a poll_iteration.
+      co_await self.spin(self.node().cost().poll_iteration, sim::us(9e5) + 1,
+                         [] { return false; });
     }
   });
 

@@ -107,6 +107,9 @@ class An2Device : public RxSink {
   /// discovered by the next check at no extra poll charge; the cycle-
   /// exact expectation is pinned by tests/net_poll_charge_test.cpp.
   std::optional<RxDesc> poll(int vc);
+  /// True exactly when poll(vc) would return an arrival; never pops (for
+  /// Process::spin predicates).
+  bool rx_pending(int vc) const { return !vc_at(vc).notify_ring.empty(); }
 
   /// Channel notified on arrivals in interrupt mode (token semantics).
   sim::WaitChannel& arrival_channel(int vc);

@@ -89,6 +89,11 @@ class EthernetDevice : public RxSink {
   /// (never in addition to) a poll charge on the iteration that finds a
   /// frame. Pinned cycle-exactly by tests/net_poll_charge_test.cpp.
   std::optional<RxDesc> poll(int endpoint);
+  /// True exactly when poll(endpoint) would return an arrival; never pops
+  /// (for Process::spin predicates).
+  bool rx_pending(int endpoint) const {
+    return !ep_at(endpoint).notify_ring.empty();
+  }
   sim::WaitChannel& arrival_channel(int endpoint);
   void set_interrupt_mode(int endpoint, bool on);
   /// Install/remove the per-frame kernel receive hook. Passing a null

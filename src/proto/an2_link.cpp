@@ -50,7 +50,8 @@ sim::Sub<net::RxDesc> An2Link::recv() {
       co_return *d;
     }
     if (cfg_.mode == RecvMode::Polling) {
-      co_await self_.compute(self_.node().cost().poll_iteration);
+      co_await self_.spin(self_.node().cost().poll_iteration, sim::kNever,
+                          [this] { return dev_.rx_pending(vc_); });
     } else {
       co_await dev_.arrival_channel(vc_).wait(self_);
     }
@@ -66,7 +67,8 @@ sim::Sub<std::optional<net::RxDesc>> An2Link::recv_for(sim::Cycles timeout) {
     }
     if (self_.node().now() >= deadline) co_return std::nullopt;
     if (cfg_.mode == RecvMode::Polling) {
-      co_await self_.compute(self_.node().cost().poll_iteration);
+      co_await self_.spin(self_.node().cost().poll_iteration, deadline,
+                          [this] { return dev_.rx_pending(vc_); });
     } else {
       const sim::Cycles left = deadline - self_.node().now();
       const bool got_token =

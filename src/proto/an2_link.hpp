@@ -53,6 +53,7 @@ class An2Link final : public Link {
   /// Non-blocking notification-ring check (free; callers charge their own
   /// poll-iteration cost).
   std::optional<net::RxDesc> try_recv() override { return dev_.poll(vc_); }
+  bool rx_pending() const override { return dev_.rx_pending(vc_); }
 
   /// Return the buffer underlying `d` to the device free ring. Cheap
   /// (shared-ring write; no syscall on this exokernel interface).

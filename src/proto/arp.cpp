@@ -66,7 +66,8 @@ sim::Sub<std::optional<ArpPacket>> ArpService::process_one(
     const auto d = dev_.poll(endpoint_);
     if (!d.has_value()) {
       if (node.now() >= deadline) co_return std::nullopt;
-      co_await self_.compute(node.cost().poll_iteration);
+      co_await self_.spin(node.cost().poll_iteration, deadline,
+                          [this] { return dev_.rx_pending(endpoint_); });
       continue;
     }
     const std::uint8_t* p = node.mem(d->addr, d->len);

@@ -39,7 +39,8 @@ sim::Sub<net::RxDesc> EthLink::recv() {
       co_return *d;
     }
     if (cfg_.mode == RecvMode::Polling) {
-      co_await self_.compute(self_.node().cost().poll_iteration);
+      co_await self_.spin(self_.node().cost().poll_iteration, sim::kNever,
+                          [this] { return dev_.rx_pending(endpoint_); });
     } else {
       co_await dev_.arrival_channel(endpoint_).wait(self_);
     }
@@ -55,7 +56,8 @@ sim::Sub<std::optional<net::RxDesc>> EthLink::recv_for(sim::Cycles timeout) {
     }
     if (self_.node().now() >= deadline) co_return std::nullopt;
     if (cfg_.mode == RecvMode::Polling) {
-      co_await self_.compute(self_.node().cost().poll_iteration);
+      co_await self_.spin(self_.node().cost().poll_iteration, deadline,
+                          [this] { return dev_.rx_pending(endpoint_); });
     } else {
       const sim::Cycles left = deadline - self_.node().now();
       const bool got_token =

@@ -48,6 +48,7 @@ class EthLink final : public Link {
   std::optional<net::RxDesc> try_recv() override {
     return dev_.poll(endpoint_);
   }
+  bool rx_pending() const override { return dev_.rx_pending(endpoint_); }
   void release(const net::RxDesc& d) override;
 
   std::uint32_t rx_ip_offset() const override {

@@ -30,6 +30,8 @@ class Link {
       sim::Cycles timeout) = 0;
   /// Non-blocking check (caller charges poll cost).
   virtual std::optional<net::RxDesc> try_recv() = 0;
+  /// True exactly when try_recv() would return a frame; never pops.
+  virtual bool rx_pending() const = 0;
   /// Return a consumed receive buffer.
   virtual void release(const net::RxDesc& d) = 0;
 

@@ -562,7 +562,10 @@ sim::Sub<bool> TcpConnection::write_from(std::uint32_t app_addr,
           break;
         }
         if (node.now() >= deadline) break;
-        co_await link_.self().compute(node.cost().poll_iteration);
+        co_await link_.self().spin(
+            node.cost().poll_iteration, deadline, [this, before] {
+              return snd_una() != before || link_.rx_pending();
+            });
       }
       const std::uint32_t after = snd_una();
       if (after == before) {
@@ -651,7 +654,17 @@ sim::Sub<std::uint32_t> TcpConnection::read_stage(std::uint32_t app_addr,
       } else {
         const bool alive = co_await service_timers();
         if (!alive) co_return 0;
-        co_await link_.self().compute(node.cost().poll_iteration);
+        // Charge this check first: service_timers() may have run the
+        // clock or closed the connection, so the next check is a period
+        // on. Then poll until a check above can pass (staged bytes, FIN,
+        // close, a frame) or the next timer is due.
+        const sim::Cycles poll = node.cost().poll_iteration;
+        co_await link_.self().compute(poll);
+        co_await link_.self().spin(
+            poll, wheel_.next_deadline().value_or(sim::kNever), [this] {
+              return shm_.get(tcb::kStageUsed) > 0 || peer_fin_seen_ ||
+                     state_ == TcpState::Closed || link_.rx_pending();
+            });
       }
     } else {
       co_await wait_step(tx_.rto_cur);

@@ -107,9 +107,9 @@ void TcpEngine::mark_dirty(Tcb& t) {
 // --------------------------------------------------------------- timers
 
 void TcpEngine::service_timers() {
-  std::vector<sim::TimerWheel::Expired> fired;
-  wheel_.advance(link_.self().node().now(), fired);
-  for (const auto& e : fired) {
+  expired_.clear();
+  wheel_.advance(link_.self().node().now(), expired_);
+  for (const auto& e : expired_) {
     const auto id = static_cast<ConnId>(e.cookie >> 2);
     const auto kind = static_cast<TcpTimerKind>(e.cookie & 3);
     const auto it = by_id_.find(id);

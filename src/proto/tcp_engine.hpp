@@ -309,6 +309,7 @@ class TcpEngine {
   ConnId next_id_ = 1;
 
   sim::TimerWheel wheel_;
+  std::vector<sim::TimerWheel::Expired> expired_;  // service_timers scratch
   std::vector<ConnId> dirty_;
   std::vector<ConnId> dead_;
   std::vector<RawRst> raw_rsts_;  // unknown-flow RSTs, sent during flush

@@ -1,12 +1,31 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace ash::sim {
 
+namespace {
+
+/// First of the boundaries `first + k * period` (k >= 0) that is >= `t`;
+/// kNever when it would overflow.
+Cycles boundary_at_or_after(Cycles first, Cycles period, Cycles t) {
+  if (t <= first) return first;
+  const Cycles d = t - first;
+  const Cycles n = d / period + (d % period != 0 ? 1 : 0);
+  if (n > (kNever - first) / period) return kNever;
+  return first + n * period;
+}
+
+}  // namespace
+
 EventId EventQueue::schedule_at(Cycles at, EventFn fn) {
   if (at < now_) at = now_;
+  return push(at, next_seq_++, std::move(fn));
+}
+
+EventId EventQueue::push(Cycles at, std::uint64_t seq, EventFn fn) {
   std::uint32_t slot = free_head_;
   if (slot != kNoSlot) {
     free_head_ = slots_[slot].next_free;
@@ -17,7 +36,7 @@ EventId EventQueue::schedule_at(Cycles at, EventFn fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   const std::uint32_t gen = ++s.gen;  // even (free) -> odd (occupied)
-  heap_.push_back(Key{at, next_seq_++, slot, gen});
+  heap_.push_back(Key{at, seq, slot, gen});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   return (EventId{gen} << 32) | slot;
@@ -53,16 +72,57 @@ void EventQueue::compact() {
   std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
+void EventQueue::park(Spinner& s, Cycles first, Cycles period, Cycles until) {
+  assert(!parked_);
+  parked_ = Parked{&s, first, period, next_seq_++};
+  parked_wake_ =
+      until == kNever ? kNever : boundary_at_or_after(first, period, until);
+}
+
+void EventQueue::materialize(Cycles t) {
+  const Parked p = *parked_;
+  parked_.reset();
+  parked_wake_ = kNever;
+  const Cycles at = boundary_at_or_after(p.first, p.period, t);
+  // The boundary at `first` keeps the seq reserved when its chunk was
+  // scheduled. A later one would have been scheduled by the implicit
+  // boundary before it, which is later than every event pending now was
+  // scheduled: it fires after those and before anything scheduled from
+  // here on.
+  push(at, at == p.first ? p.seq : next_seq_++,
+       [s = p.s] { s->boundary(); });
+  p.s->chunk_ends_at(at);
+}
+
+void EventQueue::settle(Cycles limit) {
+  if (!parked_ || limit == kNever || parked_->first > limit) return;
+  // The parked `until` boundary is past `limit` (the run would have fired
+  // it), so the implicit boundaries <= limit were failed checks. The last
+  // one sets the clock and schedules the next chunk, before anything the
+  // caller schedules after the run.
+  Parked& p = *parked_;
+  const Cycles last = p.first + (limit - p.first) / p.period * p.period;
+  if (last > now_) now_ = last;
+  p.first = last + p.period;
+  p.seq = next_seq_++;
+  p.s->chunk_ends_at(p.first);
+}
+
 Cycles EventQueue::next_time() {
-  while (!heap_.empty()) {
-    if (!dead(heap_.front())) return heap_.front().at;
+  while (!heap_.empty() && dead(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
-  return ~Cycles{0};
+  const Cycles t = heap_.empty() ? kNever : heap_.front().at;
+  return t < parked_wake_ ? t : parked_wake_;
 }
 
 bool EventQueue::step() {
+  if (parked_) {
+    const Cycles t = next_time();
+    if (t == kNever) return false;
+    materialize(t);
+  }
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     const Key k = heap_.back();
@@ -84,7 +144,8 @@ std::size_t EventQueue::run_until_idle(Cycles limit) {
   std::size_t executed = 0;
   // next_time() prunes cancelled heads, so the limit check sees live events.
   while (next_time() <= limit && step()) ++executed;
-  if (now_ < limit && limit != ~Cycles{0}) now_ = limit;
+  settle(limit);
+  if (now_ < limit && limit != kNever) now_ = limit;
   return executed;
 }
 

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 namespace ash::sim {
@@ -27,10 +28,27 @@ constexpr Cycles us(double microseconds) noexcept {
   return static_cast<Cycles>(microseconds * kCpuMhz);
 }
 
+/// "Never": a time no event reaches.
+inline constexpr Cycles kNever = ~Cycles{0};
+
 using EventFn = std::function<void()>;
 /// `(generation << 32) | slot`. Generations issued to callers are odd, so
 /// 0 is never a valid id.
 using EventId = std::uint64_t;
+
+/// A process polling at a fixed period while parked in the queue (see
+/// Process::spin). Before every event the queue turns it back into a real
+/// event at its next boundary, where it checks again.
+class Spinner {
+ public:
+  /// The spinner's poll chunk in progress now ends at `at`.
+  virtual void chunk_ends_at(Cycles at) = 0;
+  /// The boundary event the queue scheduled for it fired.
+  virtual void boundary() = 0;
+
+ protected:
+  ~Spinner() = default;
+};
 
 /// A slot table plus a binary heap of small keys. Each pending event owns
 /// one slot, which holds its callback; the heap orders `(at, seq)` keys
@@ -46,6 +64,11 @@ using EventId = std::uint64_t;
 /// Workloads that re-arm and cancel timers indefinitely (TCP retransmit
 /// timers) therefore hold memory proportional to the live event count, not
 /// to history.
+///
+/// A parked spinner (park()) is a polling process whose periodic boundary
+/// events exist only implicitly: before firing any event at time T, the
+/// queue schedules it as a real event at its first boundary >= T.
+/// DESIGN.md §5 explains why this is cycle-exact.
 class EventQueue {
  public:
   Cycles now() const noexcept { return now_; }
@@ -63,25 +86,49 @@ class EventQueue {
   /// already fired, was already cancelled or was never issued.
   void cancel(EventId id);
 
+  /// Park `s`, whose poll chunk in progress ends at `first` and which
+  /// then polls every `period` cycles until its first boundary >= `until`
+  /// (kNever: no such bound). Called as the last act of an event (a
+  /// process suspends there), after the spinner's failed check; an event
+  /// resumes one process, so at most one spinner is parked at a time.
+  void park(Spinner& s, Cycles first, Cycles period, Cycles until);
+
+  /// Schedule a parked spinner at its next boundary. Outside events,
+  /// call this before changing anything it depends on: what its
+  /// predicate reads, or its node's CPU or ready queue (Node::kernel_work
+  /// and the Scheduler do it themselves).
+  void unpark() {
+    if (parked_) materialize(now_);
+  }
+
   /// Run the earliest pending event, advancing the clock. Returns false
-  /// when no events remain.
+  /// when no events remain (a parked spinner without an `until` never
+  /// fires on its own: only an event can change what it polls).
   bool step();
 
-  /// Run until the queue drains or the clock passes `limit`.
-  /// Returns the number of events executed.
-  std::size_t run_until_idle(Cycles limit = ~Cycles{0});
+  /// Run until the queue drains or the clock passes `limit`, settle(limit),
+  /// and leave the clock at `limit`. Returns the number of events executed.
+  std::size_t run_until_idle(Cycles limit = kNever);
 
-  bool empty() const noexcept { return live_ == 0; }
-  std::size_t pending() const noexcept { return live_; }
+  /// End of a run up to `limit`: move the clock to the last implicit
+  /// boundary <= `limit`, as an uninterrupted run would have left it, and
+  /// advance the parked spinner's chunk in progress to the one after.
+  /// No-op for limit == kNever or without a parked spinner.
+  void settle(Cycles limit);
 
-  /// Cancelled entries still parked in the heap. Bounded by pending() via
+  bool empty() const noexcept { return live_ == 0 && !parked_; }
+  /// Live events plus a parked spinner.
+  std::size_t pending() const noexcept { return live_ + (parked_ ? 1 : 0); }
+
+  /// Cancelled entries still in the heap. Bounded by pending() via
   /// compaction; exposed so tests can pin the no-leak invariant.
   std::size_t cancelled_backlog() const noexcept {
     return heap_.size() - live_;
   }
 
-  /// Time of the next live event, or ~0 when the queue is empty. Discards
-  /// cancelled entries encountered at the head.
+  /// Time of the next event: the next live one, or the parked spinner's
+  /// first boundary >= its `until`, whichever is earlier; kNever when
+  /// there is neither. Discards cancelled entries encountered at the head.
   Cycles next_time();
 
  private:
@@ -103,7 +150,18 @@ class EventQueue {
     std::uint32_t next_free = 0;
   };
 
+  struct Parked {
+    Spinner* s;
+    Cycles first;  // end of the poll chunk in progress
+    Cycles period;
+    std::uint64_t seq;  // reserved when that chunk was scheduled
+  };
+
   bool dead(const Key& k) const noexcept { return slots_[k.slot].gen != k.gen; }
+  /// Store `fn` in a free slot and push its key `(at, seq)`.
+  EventId push(Cycles at, std::uint64_t seq, EventFn fn);
+  /// Schedule the parked spinner at its first boundary >= `t`.
+  void materialize(Cycles t);
   /// Bump the slot's generation (killing its id and key), free it, and
   /// compact if tombstones now outnumber live events.
   void release(std::uint32_t slot);
@@ -118,6 +176,8 @@ class EventQueue {
   std::uint32_t free_head_ = kNoSlot;  // intrusive free list through slots_
   std::vector<Slot> slots_;
   std::vector<Key> heap_;  // binary heap ordered by Later
+  std::optional<Parked> parked_;
+  Cycles parked_wake_ = kNever;  // parked_'s first boundary >= its until
 };
 
 }  // namespace ash::sim

@@ -42,6 +42,7 @@ Cpu& Node::add_nic_unit() {
 }
 
 Cycles Node::kernel_work(Cycles cycles, EventFn done) {
+  queue().unpark();  // a parked spinner's next chunk may start later now
   const Cycles start = now() > cpu_free_at() ? now() : cpu_free_at();
   busy_until_ = start + cycles;
   kernel_cycles_ += cycles;

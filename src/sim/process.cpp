@@ -8,12 +8,6 @@
 
 namespace ash::sim {
 
-namespace {
-/// Preemption granularity: long computes are split into chunks of this
-/// size so quantum expiry and priority boosts take effect promptly.
-constexpr Cycles kComputeChunk = 2000;  // 50 us at 40 MHz
-}  // namespace
-
 void Task::promise_type::FinalAwaiter::await_suspend(
     std::coroutine_handle<promise_type> h) noexcept {
   if (Process* p = h.promise().process) p->on_coroutine_done();
@@ -29,6 +23,7 @@ Process::~Process() {
 
 Scheduler& Process::sched() { return node_.kernel().scheduler(); }
 EventQueue& Process::queue() { return node_.queue(); }
+Cycles Process::clock() const { return node_.now(); }
 
 void Process::start(ProcessMain fn) {
   assert(!main_);
@@ -49,7 +44,7 @@ void Process::resume_execution() {
   if (compute_remaining_ > 0) {
     schedule_next_chunk();
   } else {
-    run_coroutine();
+    compute_done();
   }
 }
 
@@ -87,11 +82,63 @@ void Process::schedule_next_chunk() {
     }
     compute_remaining_ -= chunk;
     if (compute_remaining_ == 0) {
-      run_coroutine();
+      compute_done();
     } else {
       schedule_next_chunk();
     }
   });
+}
+
+void Process::compute_done() {
+  if (spin_period_ != 0) {
+    poll_boundary();
+  } else {
+    run_coroutine();
+  }
+}
+
+void Process::start_spin(Cycles period, Cycles until, bool (*ready)(void*),
+                         void* ctx, std::coroutine_handle<> h) {
+  assert(state_ == ProcState::Running);
+  cont_ = h;
+  spin_period_ = period;
+  spin_until_ = until;
+  spin_ready_ = ready;
+  spin_ctx_ = ctx;
+  charge_poll();
+}
+
+void Process::charge_poll() {
+  compute_remaining_ = spin_period_;
+  if (sched().ready_count() != 0) {
+    // Quantum expiry or a boost may preempt at this boundary.
+    schedule_next_chunk();
+    return;
+  }
+  // Nothing can preempt, so this is the chunk schedule_next_chunk would
+  // schedule; until an event fires, the next ones are too.
+  const Cycles start =
+      node_.now() > node_.cpu_free_at() ? node_.now() : node_.cpu_free_at();
+  const Cycles end = start + spin_period_;
+  node_.set_chunk_end(end);
+  queue().park(*this, end, spin_period_, spin_until_);
+}
+
+void Process::poll_boundary() {
+  if (spin_ready_(spin_ctx_) || node_.now() >= spin_until_) {
+    spin_period_ = 0;
+    run_coroutine();
+  } else {
+    charge_poll();
+  }
+}
+
+void Process::chunk_ends_at(Cycles at) { node_.set_chunk_end(at); }
+
+void Process::boundary() {
+  if (state_ != ProcState::Running) return;  // as for a stale chunk event
+  compute_remaining_ = 0;
+  poll_boundary();
 }
 
 void Process::do_yield(std::coroutine_handle<> h) {

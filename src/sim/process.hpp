@@ -12,6 +12,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 #include "sim/event_queue.hpp"
@@ -39,8 +40,12 @@ struct MemSegment {
 
 enum class ProcState : std::uint8_t { Ready, Running, Blocked, Exited };
 
-class Process {
+class Process : private Spinner {
  public:
+  /// Preemption granularity: long computes are split into chunks of this
+  /// size so quantum expiry and priority boosts take effect promptly.
+  static constexpr Cycles kComputeChunk = 2000;  // 50 us at 40 MHz
+
   Process(Node& node, std::uint32_t pid, std::string name, MemSegment seg);
   ~Process();
   Process(const Process&) = delete;
@@ -67,6 +72,37 @@ class Process {
       void await_resume() const noexcept {}
     };
     return Awaiter{*this, cycles};
+  }
+
+  /// Poll until `ready()` holds or the clock reaches `until` (kNever: no
+  /// bound). Exactly
+  ///     while (!ready() && now() < until) co_await compute(period);
+  /// — check, then charge one `period` per failed check — but while
+  /// nothing else on this CPU is ready the process parks in the event
+  /// queue between real events instead of paying one event per check
+  /// (EventQueue::park). `ready` must be a pure, non-throwing read of
+  /// state that changes only inside events (a driver changing it between
+  /// runs calls EventQueue::unpark() first); 0 < period <= kComputeChunk.
+  template <typename Ready>
+  [[nodiscard]] auto spin(Cycles period, Cycles until, Ready ready) {
+    if (period == 0 || period > kComputeChunk) {
+      throw std::invalid_argument("Process::spin: period out of range");
+    }
+    struct Awaiter {
+      Process& p;
+      Cycles period;
+      Cycles until;
+      Ready ready;
+      bool await_ready() { return ready() || p.clock() >= until; }
+      void await_suspend(std::coroutine_handle<> h) {
+        p.start_spin(period, until, &Awaiter::check, this, h);
+      }
+      void await_resume() const noexcept {}
+      static bool check(void* self) {
+        return static_cast<Awaiter*>(self)->ready();
+      }
+    };
+    return Awaiter{*this, period, until, std::move(ready)};
   }
 
   /// A full system call: two protected crossings + dispatch + `work`.
@@ -134,6 +170,20 @@ class Process {
 
   void start_compute(Cycles cycles, std::coroutine_handle<> h);
   void schedule_next_chunk();
+  /// The compute in progress has finished: re-check a spin, or resume.
+  void compute_done();
+  Cycles clock() const;
+
+  // ---- spin ----
+  void start_spin(Cycles period, Cycles until, bool (*ready)(void*),
+                  void* ctx, std::coroutine_handle<> h);
+  /// Charge one poll period after a failed check: park when nothing else
+  /// is ready on this CPU, else schedule it as a normal chunk.
+  void charge_poll();
+  /// A poll period ended: check, then finish the spin or charge again.
+  void poll_boundary();
+  void chunk_ends_at(Cycles at) override;
+  void boundary() override;
   void do_yield(std::coroutine_handle<> h);
   void do_sleep(Cycles cycles, std::coroutine_handle<> h);
   void run_coroutine();
@@ -151,6 +201,11 @@ class Process {
   std::coroutine_handle<> cont_{};  // innermost suspended coroutine
   Cycles compute_remaining_ = 0;
   std::exception_ptr exception_;
+  // The spin in progress; spin_period_ is 0 when there is none.
+  Cycles spin_period_ = 0;
+  Cycles spin_until_ = 0;
+  bool (*spin_ready_)(void*) = nullptr;
+  void* spin_ctx_ = nullptr;
 };
 
 /// Condition-variable-with-memory: notify() on an empty waiter list is

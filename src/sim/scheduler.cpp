@@ -11,12 +11,14 @@ namespace ash::sim {
 
 void Scheduler::add_new(Process* p) {
   assert(p->state() == ProcState::Ready);
+  node_.queue().unpark();  // a parked spinner may be preempted now
   ready_.push_back(p);
   maybe_dispatch();
 }
 
 void Scheduler::make_ready(Process* p, bool boost) {
   assert(p->state() == ProcState::Blocked);
+  node_.queue().unpark();  // a parked spinner may be preempted now
   p->state_ = ProcState::Ready;
   if (policy_ == SchedPolicy::PriorityBoost && boost) {
     ready_.push_front(p);

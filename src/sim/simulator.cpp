@@ -22,6 +22,7 @@ std::size_t Simulator::run(Cycles limit) {
     ++executed;
     check_failures();
   }
+  queue_.settle(limit);
   return executed;
 }
 

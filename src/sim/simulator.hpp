@@ -32,10 +32,11 @@ class Simulator {
   /// Total CPUs allocated so far (nodes + auxiliary rx CPUs).
   std::uint16_t cpu_count() const noexcept { return next_cpu_id_; }
 
-  /// Run until the event queue drains or the clock passes `limit`.
-  /// Rethrows the first exception that escaped any process coroutine.
-  /// Returns the number of events executed.
-  std::size_t run(Cycles limit = ~Cycles{0});
+  /// Run until the event queue drains or the clock passes `limit`, then
+  /// settle parked spinners (EventQueue::settle). Rethrows the first
+  /// exception that escaped any process coroutine. Returns the number of
+  /// events executed.
+  std::size_t run(Cycles limit = kNever);
 
   /// Called by Kernel::record_failure: some node now holds a failure, so
   /// run() must look for it after the current event.

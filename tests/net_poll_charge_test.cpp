@@ -7,7 +7,9 @@
 // both on a hit, double-charges exactly one poll_iteration per received
 // frame — these tests pin the intended totals for both NIC models so the
 // contract documented on An2Device::poll / EthernetDevice::poll stays
-// enforced.
+// enforced. The *ThroughSpin variants charge the empty checks with
+// Process::spin over the non-popping rx_pending() query, and must land on
+// exactly the times of the explicit loop.
 #include <gtest/gtest.h>
 
 #include "net/an2.hpp"
@@ -39,21 +41,39 @@ std::vector<std::uint8_t> eth_frame(std::uint16_t ethertype) {
   return f;
 }
 
-/// Contract-following poll loop: returns (empty_checks, hit_time,
-/// done_time). Charges nothing before the first check, poll_iteration per
-/// empty check, recv overhead after the hit.
-template <typename PollFn>
-sim::Sub<int> poll_until_hit(Process& self, PollFn poll, int* empty_checks,
-                             Cycles* hit_time, Cycles* done_time) {
+/// How the empty checks are charged: an explicit compute per check, or
+/// Process::spin.
+enum class Charge { Loop, Spin };
+
+/// What one poller run saw. `empty` counts the explicit loop's empty
+/// checks; a parked spin makes its checks implicitly, so it stays 0 there.
+struct Outcome {
+  int empty = 0;
+  Cycles t0 = 0;      // first check
+  Cycles hit = 0;     // the check that found the frame
+  Cycles done = 0;    // after the receive overhead
+  Cycles arrive = 0;  // FrameArrival on the receiver (traced runs only)
+};
+
+/// Contract-following poll loop. Charges nothing before the first check,
+/// poll_iteration per empty check, recv overhead after the hit.
+template <typename PollFn, typename PendingFn>
+sim::Sub<int> poll_until_hit(Process& self, Charge charge, PollFn poll,
+                             PendingFn pending, Outcome* out) {
+  const Cycles p = self.node().cost().poll_iteration;
   for (;;) {
     if (poll()) {
-      *hit_time = self.node().now();
+      out->hit = self.node().now();
       co_await self.compute(self.node().cost().an2_user_recv_overhead);
-      *done_time = self.node().now();
+      out->done = self.node().now();
       co_return 0;
     }
-    ++*empty_checks;
-    co_await self.compute(self.node().cost().poll_iteration);
+    if (charge == Charge::Spin) {
+      co_await self.spin(p, sim::kNever, pending);
+    } else {
+      ++out->empty;
+      co_await self.compute(p);
+    }
   }
 }
 
@@ -69,37 +89,52 @@ Cycles arrival_time(std::uint16_t cpu) {
   return 0;
 }
 
-TEST(PollCharge, An2HitOnFirstCheckCostsRecvOverheadOnly) {
+/// The spin run lands on the loop run's times; the loop's empty-check
+/// count then describes both.
+Outcome same_times(const Outcome& loop, const Outcome& spin) {
+  EXPECT_EQ(spin.t0, loop.t0);
+  EXPECT_EQ(spin.hit, loop.hit);
+  EXPECT_EQ(spin.done, loop.done);
+  EXPECT_EQ(spin.arrive, loop.arrive);
+  Outcome o = spin;
+  o.empty = loop.empty;
+  return o;
+}
+
+Outcome an2_hit_on_first_check(Charge charge) {
   Simulator sim;
   Node& a = sim.add_node("a");
   Node& b = sim.add_node("b");
   An2Device dev_a(a), dev_b(b);
   dev_a.connect(dev_b);
 
-  int empty = 0;
-  Cycles t0 = 0, hit = 0, done = 0;
+  Outcome out;
   b.kernel().spawn("rx", [&](Process& self) -> Task {
     const int vc = dev_b.bind_vc(self);
     dev_b.supply_buffer(vc, self.segment().base, 4096);
     // Start checking long after the frame has landed.
     co_await self.sleep_for(us(500.0));
-    t0 = self.node().now();
+    out.t0 = self.node().now();
     co_await poll_until_hit(
-        self, [&] { return dev_b.poll(vc).has_value(); }, &empty, &hit,
-        &done);
+        self, charge, [&] { return dev_b.poll(vc).has_value(); },
+        [&] { return dev_b.rx_pending(vc); }, &out);
   });
   sim.queue().schedule_at(us(10.0), [&] {
     const std::uint8_t m[4] = {1, 2, 3, 4};
     ASSERT_TRUE(dev_a.send(0, m));
   });
   sim.run();
-
-  EXPECT_EQ(empty, 0);
-  EXPECT_EQ(hit, t0);  // the check itself is free
-  EXPECT_EQ(done - t0, b.cost().an2_user_recv_overhead);
+  return out;
 }
 
-TEST(PollCharge, An2SpinThenHitChargesEachEmptyCheckOnceAndNoDouble) {
+void expect_hit_on_first_check(const Outcome& o) {
+  const sim::CostModel cost;
+  EXPECT_EQ(o.empty, 0);
+  EXPECT_EQ(o.hit, o.t0);  // the check itself is free
+  EXPECT_EQ(o.done - o.t0, cost.an2_user_recv_overhead);
+}
+
+Outcome an2_spin_then_hit(Charge charge) {
   trace::TracerConfig tc;
   tc.max_cpus = 2;
   trace::Session session(tc);
@@ -109,16 +144,15 @@ TEST(PollCharge, An2SpinThenHitChargesEachEmptyCheckOnceAndNoDouble) {
   An2Device dev_a(a), dev_b(b);
   dev_a.connect(dev_b);
 
-  int empty = 0;
-  Cycles t0 = 0, hit = 0, done = 0;
+  Outcome out;
   b.kernel().spawn("rx", [&](Process& self) -> Task {
     const int vc = dev_b.bind_vc(self);
     dev_b.supply_buffer(vc, self.segment().base, 4096);
     co_await self.sleep_for(us(100.0));
-    t0 = self.node().now();
+    out.t0 = self.node().now();
     co_await poll_until_hit(
-        self, [&] { return dev_b.poll(vc).has_value(); }, &empty, &hit,
-        &done);
+        self, charge, [&] { return dev_b.poll(vc).has_value(); },
+        [&] { return dev_b.rx_pending(vc); }, &out);
   });
   // Sent mid-spin: the frame arrives between two checks, so the poller
   // discovers it on the next check with no extra poll charge. (The send
@@ -128,55 +162,55 @@ TEST(PollCharge, An2SpinThenHitChargesEachEmptyCheckOnceAndNoDouble) {
     ASSERT_TRUE(dev_a.send(0, m));
   });
   sim.run();
+  out.arrive = arrival_time(b.cpu_id());
+  return out;
+}
 
-  const Cycles arrive = arrival_time(b.cpu_id());
-  ASSERT_GT(arrive, t0);
-  const Cycles p = b.cost().poll_iteration;
+void expect_an2_spin_then_hit(const Outcome& o) {
+  const sim::CostModel cost;
+  ASSERT_GT(o.arrive, o.t0);
+  const Cycles p = cost.poll_iteration;
   // The poller checked at t0, t0+p, ... — the hit is the FIRST check at
   // or after the arrival, after exactly ceil((arrive - t0) / p) empty
   // checks, each charged once.
-  const Cycles n = (arrive - t0 + p - 1) / p;
+  const Cycles n = (o.arrive - o.t0 + p - 1) / p;
   EXPECT_GT(n, 0u);
-  EXPECT_EQ(static_cast<Cycles>(empty), n);
-  EXPECT_EQ(hit, t0 + n * p);
+  EXPECT_EQ(static_cast<Cycles>(o.empty), n);
+  EXPECT_EQ(o.hit, o.t0 + n * p);
   // The hit check charges the receive overhead INSTEAD of an iteration.
-  EXPECT_EQ(done - hit, b.cost().an2_user_recv_overhead);
-  EXPECT_EQ(done - t0, n * p + b.cost().an2_user_recv_overhead);
+  EXPECT_EQ(o.done - o.hit, cost.an2_user_recv_overhead);
+  EXPECT_EQ(o.done - o.t0, n * p + cost.an2_user_recv_overhead);
 }
 
-TEST(PollCharge, EthernetHitChargesRecvOverheadOnly) {
-  // On the Ethernet the ring entry appears only after the driver's
-  // kernel work, which shares the CPU with the poller's own compute — so
-  // the cycle-exact case is the idle-CPU hit: by poll time the frame has
-  // long been copied out and the kernel is quiet, and the hit must cost
-  // exactly the receive overhead with zero poll_iteration charges.
+// On the Ethernet the ring entry appears only after the driver's kernel
+// work, which shares the CPU with the poller's own compute — so the
+// cycle-exact case is the idle-CPU hit: by poll time the frame has long
+// been copied out and the kernel is quiet, and the hit must cost exactly
+// the receive overhead with zero poll_iteration charges.
+Outcome eth_hit_on_first_check(Charge charge) {
   Simulator sim;
   Node& a = sim.add_node("a");
   Node& b = sim.add_node("b");
   EthernetDevice dev_a(a), dev_b(b);
   dev_a.connect(dev_b);
 
-  int empty = 0;
-  Cycles t0 = 0, hit = 0, done = 0;
+  Outcome out;
   b.kernel().spawn("rx", [&](Process& self) -> Task {
     const int ep = dev_b.attach(self, type_filter(0x0800));
     dev_b.supply_buffer(ep, self.segment().base, 2048);
     co_await self.sleep_for(us(1000.0));
-    t0 = self.node().now();
+    out.t0 = self.node().now();
     co_await poll_until_hit(
-        self, [&] { return dev_b.poll(ep).has_value(); }, &empty, &hit,
-        &done);
+        self, charge, [&] { return dev_b.poll(ep).has_value(); },
+        [&] { return dev_b.rx_pending(ep); }, &out);
   });
   sim.queue().schedule_at(us(10.0),
                           [&] { ASSERT_TRUE(dev_a.send(eth_frame(0x0800))); });
   sim.run();
-
-  EXPECT_EQ(empty, 0);
-  EXPECT_EQ(hit, t0);  // the check itself is free
-  EXPECT_EQ(done - t0, b.cost().an2_user_recv_overhead);
+  return out;
 }
 
-TEST(PollCharge, EthernetSpinChargesEachEmptyCheckOnceAndNoDouble) {
+Outcome eth_spin_then_hit(Charge charge) {
   trace::TracerConfig tc;
   tc.max_cpus = 2;
   trace::Session session(tc);
@@ -186,37 +220,78 @@ TEST(PollCharge, EthernetSpinChargesEachEmptyCheckOnceAndNoDouble) {
   EthernetDevice dev_a(a), dev_b(b);
   dev_a.connect(dev_b);
 
-  int empty = 0;
-  Cycles t0 = 0, hit = 0, done = 0;
+  Outcome out;
   b.kernel().spawn("rx", [&](Process& self) -> Task {
     const int ep = dev_b.attach(self, type_filter(0x0800));
     dev_b.supply_buffer(ep, self.segment().base, 2048);
     co_await self.sleep_for(us(100.0));
-    t0 = self.node().now();
+    out.t0 = self.node().now();
     co_await poll_until_hit(
-        self, [&] { return dev_b.poll(ep).has_value(); }, &empty, &hit,
-        &done);
+        self, charge, [&] { return dev_b.poll(ep).has_value(); },
+        [&] { return dev_b.rx_pending(ep); }, &out);
   });
   sim.queue().schedule_at(us(250.0),
                           [&] { ASSERT_TRUE(dev_a.send(eth_frame(0x0800))); });
   sim.run();
+  out.arrive = arrival_time(b.cpu_id());
+  return out;
+}
 
+void expect_eth_spin_then_hit(const Outcome& o) {
+  const sim::CostModel cost;
   // The spinner's compute chunks interleave with the driver's kernel
   // work, so pin the structure rather than absolute times: the ring
   // became visible only after FrameArrival, every pre-hit check charged
   // an iteration (hit no earlier than t0 + empty * p), and the hit
   // charged the receive overhead INSTEAD of another iteration.
-  const Cycles arrive = arrival_time(b.cpu_id());
-  ASSERT_GT(arrive, t0);
-  const Cycles p = b.cost().poll_iteration;
-  EXPECT_GT(empty, 0);
-  EXPECT_GE(hit, t0 + static_cast<Cycles>(empty) * p);
-  EXPECT_GT(hit, arrive);  // driver work delays ring visibility
+  ASSERT_GT(o.arrive, o.t0);
+  const Cycles p = cost.poll_iteration;
+  EXPECT_GT(o.empty, 0);
+  EXPECT_GE(o.hit, o.t0 + static_cast<Cycles>(o.empty) * p);
+  EXPECT_GT(o.hit, o.arrive);  // driver work delays ring visibility
   // The ring entry is posted while the driver still owes the copy-out's
   // kernel cycles, so the recv-overhead compute can wait those out — but
   // never an extra poll_iteration.
-  EXPECT_GE(done - hit, b.cost().an2_user_recv_overhead);
-  EXPECT_LT(done - hit, b.cost().an2_user_recv_overhead + us(10.0));
+  EXPECT_GE(o.done - o.hit, cost.an2_user_recv_overhead);
+  EXPECT_LT(o.done - o.hit, cost.an2_user_recv_overhead + us(10.0));
+}
+
+TEST(PollCharge, An2HitOnFirstCheckCostsRecvOverheadOnly) {
+  expect_hit_on_first_check(an2_hit_on_first_check(Charge::Loop));
+}
+
+TEST(PollCharge, An2HitOnFirstCheckCostsRecvOverheadOnlyThroughSpin) {
+  expect_hit_on_first_check(same_times(an2_hit_on_first_check(Charge::Loop),
+                                       an2_hit_on_first_check(Charge::Spin)));
+}
+
+TEST(PollCharge, An2SpinThenHitChargesEachEmptyCheckOnceAndNoDouble) {
+  expect_an2_spin_then_hit(an2_spin_then_hit(Charge::Loop));
+}
+
+TEST(PollCharge,
+     An2SpinThenHitChargesEachEmptyCheckOnceAndNoDoubleThroughSpin) {
+  expect_an2_spin_then_hit(same_times(an2_spin_then_hit(Charge::Loop),
+                                      an2_spin_then_hit(Charge::Spin)));
+}
+
+TEST(PollCharge, EthernetHitChargesRecvOverheadOnly) {
+  expect_hit_on_first_check(eth_hit_on_first_check(Charge::Loop));
+}
+
+TEST(PollCharge, EthernetHitChargesRecvOverheadOnlyThroughSpin) {
+  expect_hit_on_first_check(same_times(eth_hit_on_first_check(Charge::Loop),
+                                       eth_hit_on_first_check(Charge::Spin)));
+}
+
+TEST(PollCharge, EthernetSpinChargesEachEmptyCheckOnceAndNoDouble) {
+  expect_eth_spin_then_hit(eth_spin_then_hit(Charge::Loop));
+}
+
+TEST(PollCharge,
+     EthernetSpinChargesEachEmptyCheckOnceAndNoDoubleThroughSpin) {
+  expect_eth_spin_then_hit(same_times(eth_spin_then_hit(Charge::Loop),
+                                      eth_spin_then_hit(Charge::Spin)));
 }
 
 }  // namespace
