@@ -75,16 +75,19 @@ void TcpEngine::destroy_tcb(Tcb& t) {
     --t.listener->pending;
   }
   t.state = TcpState::Closed;
-  t.sndbuf.clear();
+  t.sndbuf.release();
+  t.rcvbuf.release();
   t.ooo.clear();
   dead_.push_back(t.id);
 }
 
 void TcpEngine::reap_dead() {
+  // on_closed may destroy more flows, which land in dead_ while this
+  // batch runs; the two buffers trade places and both keep capacity.
   while (!dead_.empty()) {
-    std::vector<ConnId> batch;
-    batch.swap(dead_);
-    for (const ConnId id : batch) {
+    reaping_.clear();
+    reaping_.swap(dead_);
+    for (const ConnId id : reaping_) {
       const auto it = by_id_.find(id);
       if (it == by_id_.end()) continue;
       Tcb* t = it->second;
@@ -207,7 +210,7 @@ bool TcpEngine::write(ConnId id, std::span<const std::uint8_t> data) {
     default:
       return false;
   }
-  t->sndbuf.insert(t->sndbuf.end(), data.begin(), data.end());
+  t->sndbuf.append(data);
   if (t->state == TcpState::Established ||
       t->state == TcpState::CloseWait) {
     mark_dirty(*t);
@@ -219,11 +222,7 @@ std::size_t TcpEngine::read(ConnId id, std::uint8_t* out,
                             std::size_t max_len) {
   Tcb* t = find(id);
   if (t == nullptr) return 0;
-  const std::size_t n = std::min(max_len, t->rcvbuf.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = t->rcvbuf.front();
-    t->rcvbuf.pop_front();
-  }
+  const std::size_t n = t->rcvbuf.take(out, max_len);
   // Receiver-side deadlock fix shared with TcpConnection: reopening the
   // window in sub-MSS steps must still tell a persist-probing sender.
   const std::uint32_t adv = adv_window(*t);
@@ -412,7 +411,7 @@ void TcpEngine::process_data(Tcb& t, const TcpHeader& tcp,
 
   if (tcp.seq == t.rcv_nxt) {
     if (plen <= space) {
-      t.rcvbuf.insert(t.rcvbuf.end(), payload.begin(), payload.end());
+      t.rcvbuf.append(payload);
       t.rcv_nxt += plen;
       // Network-buffer-to-socket-buffer copy, charged per word like the
       // library's staging append.
@@ -422,7 +421,7 @@ void TcpEngine::process_data(Tcb& t, const TcpHeader& tcp,
         const std::vector<std::uint8_t> run =
             t.ooo.pop_contiguous(t.rcv_nxt, adv_window(t));
         const auto len = static_cast<std::uint32_t>(run.size());
-        t.rcvbuf.insert(t.rcvbuf.end(), run.begin(), run.end());
+        t.rcvbuf.append(run);
         t.rcv_nxt += len;
         stats_.ooo_reassembled += len;
         *cycles += (len + 3) / 4 * node.cost().copy_loop_insns_per_word;
@@ -679,9 +678,11 @@ sim::Sub<void> TcpEngine::pump_tcb(Tcb& t) {
         {wnd - in_flight, cfg_.mss,
          static_cast<std::uint32_t>(t.sndbuf.size())});
     if (n == 0) break;
-    std::vector<std::uint8_t> seg(t.sndbuf.begin(),
-                                  t.sndbuf.begin() + n);
-    t.sndbuf.erase(t.sndbuf.begin(), t.sndbuf.begin() + n);
+    // The consumed bytes stay in place until the next append, and
+    // send_flow copies them (retransmit queue, then the packet) before
+    // its first suspension, so no write() can move them first.
+    const auto seg = t.sndbuf.bytes().first(n);
+    t.sndbuf.consume(n);
     TcpFlags f;
     f.ack = true;
     f.psh = t.sndbuf.empty();
@@ -698,8 +699,8 @@ sim::Sub<void> TcpEngine::pump_tcb(Tcb& t) {
     if (t.persist_fire) {
       t.persist_fire = false;
       ++stats_.persist_probes;
-      std::uint8_t probe = t.sndbuf.front();
-      t.sndbuf.pop_front();
+      std::uint8_t probe = 0;
+      t.sndbuf.take(&probe, 1);
       TcpFlags f;
       f.ack = true;
       // The probe byte rides the normal retransmission machinery, so

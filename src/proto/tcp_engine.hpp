@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -48,6 +47,7 @@
 #include "proto/tcp.hpp"
 #include "proto/tcp_control.hpp"
 #include "sim/timer_wheel.hpp"
+#include "util/byte_fifo.hpp"
 
 namespace ash::proto {
 
@@ -216,8 +216,8 @@ class TcpEngine {
     std::uint32_t last_adv_wnd = 0;
     std::uint16_t next_ident = 1;
 
-    std::deque<std::uint8_t> sndbuf;  // queued, not yet segmented
-    std::deque<std::uint8_t> rcvbuf;  // in-order, not yet read
+    util::ByteFifo sndbuf;  // queued, not yet segmented
+    util::ByteFifo rcvbuf;  // in-order, not yet read
     OooBuffer ooo;
     TcpSender tx;  // retransmission, RTO, congestion window, timers
 
@@ -312,6 +312,7 @@ class TcpEngine {
   std::vector<sim::TimerWheel::Expired> expired_;  // service_timers scratch
   std::vector<ConnId> dirty_;
   std::vector<ConnId> dead_;
+  std::vector<ConnId> reaping_;  // reap_dead's batch; keeps its capacity
   std::vector<RawRst> raw_rsts_;  // unknown-flow RSTs, sent during flush
 };
 

@@ -10,14 +10,12 @@
 namespace ash::sim::memops {
 namespace {
 
-/// Charge `insns_per_word` base cycles per 32-bit word plus the cache
-/// costs of the described word loop (one Cache::words call), and run
-/// `word_fn` over the buffers word by word. One generic walker keeps the
-/// cost accounting and the byte operations describing the same loop.
-template <typename WordFn>
-Cycles walk(Node& node, std::uint32_t src, std::uint32_t dst,
-            std::uint32_t len, std::uint32_t insns_per_word, bool reads_src,
-            bool writes_dst, WordFn word_fn) {
+/// Bounds-check the ranges and charge `insns_per_word` base cycles per
+/// 32-bit word plus the cache costs of the described word loop (one
+/// Cache::words call). The byte operation is the caller's.
+Cycles charge(Node& node, std::uint32_t src, std::uint32_t dst,
+              std::uint32_t len, std::uint32_t insns_per_word, bool reads_src,
+              bool writes_dst) {
   if (len == 0) return 0;
   if (reads_src && node.mem(src, len) == nullptr) {
     throw std::out_of_range("memops: source out of bounds");
@@ -26,9 +24,18 @@ Cycles walk(Node& node, std::uint32_t src, std::uint32_t dst,
     throw std::out_of_range("memops: destination out of bounds");
   }
   // The byte-serial tail is charged as one word.
-  const Cycles cycles =
-      static_cast<Cycles>(insns_per_word) * ((Cycles{len} + 3) / 4) +
-      node.dcache().words(src, dst, len, reads_src, writes_dst);
+  return static_cast<Cycles>(insns_per_word) * ((Cycles{len} + 3) / 4) +
+         node.dcache().words(src, dst, len, reads_src, writes_dst);
+}
+
+/// charge() plus `word_fn` run over the buffers word by word, so the cost
+/// accounting and the byte operation describe the same loop.
+template <typename WordFn>
+Cycles walk(Node& node, std::uint32_t src, std::uint32_t dst,
+            std::uint32_t len, std::uint32_t insns_per_word, bool reads_src,
+            bool writes_dst, WordFn word_fn) {
+  const Cycles cycles = charge(node, src, dst, len, insns_per_word,
+                               reads_src, writes_dst);
   std::uint32_t off = 0;
   for (; off + 4 <= len; off += 4) word_fn(off, 4u);
   if (off < len) word_fn(off, len - off);
@@ -47,15 +54,19 @@ Cycles copy(Node& node, std::uint32_t dst, std::uint32_t src,
               });
 }
 
+// The checksum loops fold their words with one wide sum
+// (util::cksum32_accumulate_words), which returns exactly the serial
+// p_cksum32 accumulator; the charge still describes the word loop.
+
 Cycles cksum(Node& node, std::uint32_t addr, std::uint32_t len,
              std::uint32_t* acc) {
-  const std::uint8_t* p = node.mem(addr, len);
-  return walk(node, addr, 0, len, node.cost().cksum_loop_insns_per_word,
-              true, false, [&](std::uint32_t off, std::uint32_t n) {
-                std::uint32_t w = 0;
-                std::memcpy(&w, p + off, n);  // tail zero-padded
-                *acc = util::cksum32_accumulate(*acc, w);
-              });
+  const Cycles cycles = charge(node, addr, 0, len,
+                               node.cost().cksum_loop_insns_per_word, true,
+                               false);
+  if (len > 0) {
+    *acc = util::cksum32_accumulate_words(*acc, {node.mem(addr, len), len});
+  }
+  return cycles;
 }
 
 Cycles bswap(Node& node, std::uint32_t addr, std::uint32_t len) {
@@ -75,13 +86,12 @@ Cycles copy_cksum(Node& node, std::uint32_t dst, std::uint32_t src,
   const std::uint8_t* s = node.mem(src, len);
   const std::uint32_t per_word = node.cost().copy_loop_insns_per_word +
                                  node.cost().integrated_cksum_extra;
-  return walk(node, src, dst, len, per_word, true, true,
-              [&](std::uint32_t off, std::uint32_t n) {
-                std::uint32_t w = 0;
-                std::memcpy(&w, s + off, n);
-                *acc = util::cksum32_accumulate(*acc, w);
-                std::memcpy(d + off, s + off, n);
-              });
+  const Cycles cycles = charge(node, src, dst, len, per_word, true, true);
+  if (len > 0) {
+    *acc = util::cksum32_accumulate_words(*acc, {s, len});
+    std::memmove(d, s, len);
+  }
+  return cycles;
 }
 
 Cycles copy_cksum_bswap(Node& node, std::uint32_t dst, std::uint32_t src,
@@ -91,17 +101,16 @@ Cycles copy_cksum_bswap(Node& node, std::uint32_t dst, std::uint32_t src,
   const std::uint32_t per_word = node.cost().copy_loop_insns_per_word +
                                  node.cost().integrated_cksum_extra +
                                  node.cost().integrated_bswap_extra;
-  return walk(node, src, dst, len, per_word, true, true,
-              [&](std::uint32_t off, std::uint32_t n) {
-                std::uint32_t w = 0;
-                std::memcpy(&w, s + off, n);
-                *acc = util::cksum32_accumulate(*acc, w);
-                if (n == 4) {
-                  util::store_u32(d + off, util::bswap32(w));
-                } else {
-                  std::memcpy(d + off, s + off, n);
-                }
-              });
+  const Cycles cycles = charge(node, src, dst, len, per_word, true, true);
+  if (len > 0) {
+    *acc = util::cksum32_accumulate_words(*acc, {s, len});
+    std::uint32_t off = 0;
+    for (; off + 4 <= len; off += 4) {
+      util::store_u32(d + off, util::bswap32(util::load_u32(s + off)));
+    }
+    std::memmove(d + off, s + off, len - off);  // tail copied as is
+  }
+  return cycles;
 }
 
 Cycles fill(Node& node, std::uint32_t addr, std::uint32_t len,

@@ -1,5 +1,8 @@
 #include "sim/node.hpp"
 
+#include <cstdlib>
+#include <new>
+
 #include "sim/cpu.hpp"
 #include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
@@ -12,8 +15,15 @@ Node::Node(Simulator& sim, std::string name, const NodeConfig& config)
       cpu_id_(sim.alloc_cpu_id()),
       cost_(config.cost),
       dcache_(config.cache),
-      memory_(config.memory_bytes, 0),
-      kernel_(std::make_unique<Kernel>(*this, config.policy)) {}
+      memory_size_(config.memory_bytes),
+      memory_(static_cast<std::uint8_t*>(std::calloc(memory_size_, 1))) {
+  if (memory_ == nullptr && memory_size_ > 0) throw std::bad_alloc();
+  kernel_ = std::make_unique<Kernel>(*this, config.policy);
+}
+
+void Node::FreeDeleter::operator()(std::uint8_t* p) const noexcept {
+  std::free(p);
+}
 
 Node::~Node() = default;
 
@@ -21,14 +31,14 @@ EventQueue& Node::queue() noexcept { return sim_.queue(); }
 Cycles Node::now() const noexcept { return sim_.now(); }
 
 std::uint8_t* Node::mem(std::uint32_t addr, std::uint32_t len) noexcept {
-  if (static_cast<std::uint64_t>(addr) + len > memory_.size()) return nullptr;
-  return memory_.data() + addr;
+  if (static_cast<std::uint64_t>(addr) + len > memory_size_) return nullptr;
+  return memory_.get() + addr;
 }
 
 const std::uint8_t* Node::mem(std::uint32_t addr,
                               std::uint32_t len) const noexcept {
-  if (static_cast<std::uint64_t>(addr) + len > memory_.size()) return nullptr;
-  return memory_.data() + addr;
+  if (static_cast<std::uint64_t>(addr) + len > memory_size_) return nullptr;
+  return memory_.get() + addr;
 }
 
 Cpu& Node::add_rx_cpu() {

@@ -48,7 +48,7 @@ class Node {
 
   // ---- physical memory ----
 
-  std::size_t memory_size() const noexcept { return memory_.size(); }
+  std::size_t memory_size() const noexcept { return memory_size_; }
 
   /// Bounds-checked pointer to `len` bytes at `addr`; nullptr when the
   /// range is out of bounds.
@@ -106,7 +106,13 @@ class Node {
   std::uint16_t cpu_id_ = 0;
   CostModel cost_;
   Cache dcache_;
-  std::vector<std::uint8_t> memory_;
+  // calloc'd: large blocks arrive as untouched zero pages, so a node
+  // pays only for the memory it writes.
+  struct FreeDeleter {
+    void operator()(std::uint8_t* p) const noexcept;
+  };
+  std::size_t memory_size_ = 0;
+  std::unique_ptr<std::uint8_t[], FreeDeleter> memory_;
   std::unique_ptr<Kernel> kernel_;
   std::vector<std::unique_ptr<Cpu>> rx_cpus_;
   std::vector<std::unique_ptr<Cpu>> nic_units_;

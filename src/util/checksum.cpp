@@ -1,8 +1,31 @@
 #include "util/checksum.hpp"
 
+#include <cstring>
+
 #include "util/byteorder.hpp"
 
 namespace ash::util {
+
+std::uint32_t cksum32_accumulate_words(
+    std::uint32_t acc, std::span<const std::uint8_t> data) noexcept {
+  // Serial end-around carry keeps the accumulator congruent to the plain
+  // sum S = acc + words modulo 2^32 - 1, and each step maps a nonzero
+  // sum into [1, 2^32 - 1] (it returns 0 only for 0 + 0). So the serial
+  // result is 0 when S is 0 and otherwise the unique value in
+  // [1, 2^32 - 1] congruent to S, which is (S - 1) % (2^32 - 1) + 1.
+  // S fits in 64 bits for fewer than 2^32 - 1 words (16 GiB).
+  std::uint64_t sum = acc;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 4; p += 4, n -= 4) sum += load_u32(p);
+  if (n > 0) {
+    std::uint32_t w = 0;
+    std::memcpy(&w, p, n);
+    sum += w;
+  }
+  return sum == 0 ? 0
+                  : static_cast<std::uint32_t>((sum - 1) % 0xffffffffu + 1);
+}
 
 std::uint32_t cksum_partial(std::span<const std::uint8_t> data,
                             std::uint32_t acc) noexcept {

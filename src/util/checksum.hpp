@@ -23,6 +23,14 @@ constexpr std::uint32_t cksum32_accumulate(std::uint32_t acc,
   return static_cast<std::uint32_t>((sum & 0xffffffffu) + (sum >> 32));
 }
 
+/// Fold `data`, read as host-order 32-bit words with a short tail
+/// zero-padded, into `acc`: exactly what calling cksum32_accumulate once
+/// per word returns, for any data shorter than 16 GiB. The words are
+/// summed in 64 bits and the carries folded once at the end (RFC 1071
+/// section 2(C)); see the definition for why that is exact.
+std::uint32_t cksum32_accumulate_words(
+    std::uint32_t acc, std::span<const std::uint8_t> data) noexcept;
+
 /// Fold a 32-bit ones'-complement accumulator to 16 bits.
 constexpr std::uint16_t fold16(std::uint32_t acc) noexcept {
   acc = (acc & 0xffffu) + (acc >> 16);

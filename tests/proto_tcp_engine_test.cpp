@@ -14,6 +14,7 @@
 #include "proto/tcp_engine.hpp"
 #include "sim/kernel.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace ash::proto {
 namespace {
@@ -278,6 +279,115 @@ TEST(TcpEngineScale, FlowChannelIsStableAndSpreads) {
     ++hits[static_cast<std::size_t>(ch) % hits.size()];
   }
   for (const int h : hits) EXPECT_GT(h, 0);  // no starved queue
+}
+
+// ------------------------------------------------- chunked reads
+
+/// One drain of the receive buffer by the reading side.
+struct Drain {
+  sim::Cycles at = 0;
+  std::size_t bytes = 0;
+  bool window_update = false;  // the drain queued a window-update ACK
+
+  friend bool operator==(const Drain&, const Drain&) = default;
+};
+
+struct ChunkedRun {
+  std::vector<std::uint8_t> got;
+  std::vector<Drain> drains;
+  TcpEngine::Stats reader{};
+  sim::Cycles done_at = 0;
+};
+
+/// A 48 KB stream into a 4 KB receive buffer that the reader drains
+/// every third step, `chunk` bytes per read() call. Reads cost no
+/// simulated time, so the run must not depend on `chunk` at all.
+ChunkedRun chunked_read_run(const std::vector<std::uint8_t>& stream,
+                            std::size_t chunk) {
+  Simulator sim;
+  Node& na = sim.add_node("a");
+  Node& nb = sim.add_node("b");
+  net::An2Device dev_a(na), dev_b(nb);
+  dev_a.connect(dev_b);
+  ChunkedRun out;
+  bool closed_a = false;
+
+  na.kernel().spawn("writer", [&](Process& self) -> Task {
+    An2Link link(self, dev_a, {});
+    TcpEngine::Config cfg;
+    cfg.local_ip = kIpA;
+    TcpEngine eng(link, cfg);
+    TcpEngine::Callbacks cbs;
+    cbs.on_established = [&](TcpEngine::ConnId id) {
+      EXPECT_TRUE(eng.write(id, stream));
+      eng.close(id);
+    };
+    cbs.on_closed = [&](TcpEngine::ConnId) { closed_a = true; };
+    EXPECT_NE(eng.connect(kIpB, 80, 4000, cbs), 0u);
+    co_await eng.run(closed_a, self.node().now() + us(2e6));
+  });
+
+  nb.kernel().spawn("reader", [&](Process& self) -> Task {
+    An2Link link(self, dev_b, {});
+    TcpEngine::Config cfg;
+    cfg.local_ip = kIpB;
+    cfg.rcv_limit = 4096;
+    TcpEngine eng(link, cfg);
+    TcpEngine::ConnId id = 0;
+    TcpEngine::ListenConfig lc;
+    lc.callbacks.on_established = [&](TcpEngine::ConnId cid) { id = cid; };
+    eng.listen(80, lc);
+    std::vector<std::uint8_t> buf(chunk);
+    const sim::Cycles limit = self.node().now() + us(2e6);
+    for (int step = 1; self.node().now() < limit; ++step) {
+      const bool got_frame = co_await eng.step(us(300.0));
+      (void)got_frame;
+      if (step % 3 != 0) continue;
+      const std::uint64_t updates = eng.stats().window_updates;
+      Drain d{self.node().now(), 0, false};
+      for (;;) {
+        const std::size_t n = eng.read(id, buf.data(), chunk);
+        if (n == 0) break;
+        out.got.insert(out.got.end(), buf.begin(), buf.begin() + n);
+        d.bytes += n;
+      }
+      d.window_update = eng.stats().window_updates > updates;
+      if (d.bytes > 0) out.drains.push_back(d);
+      if (out.got.size() == stream.size() && eng.at_eof(id)) break;
+    }
+    eng.close(id);
+    while (eng.open_connections() > 0 && self.node().now() < limit) {
+      const bool got_frame = co_await eng.step(us(1000.0));
+      (void)got_frame;
+    }
+    out.reader = eng.stats();
+    out.done_at = self.node().now();
+  });
+  sim.run(us(3e6));
+  return out;
+}
+
+TEST(TcpEngineChunkedRead, SameBytesAndWindowUpdatesForEveryChunkSize) {
+  util::Rng rng(0xc4'0c4);
+  std::vector<std::uint8_t> stream(48u << 10);
+  for (auto& b : stream) b = static_cast<std::uint8_t>(rng.next());
+
+  const ChunkedRun base = chunked_read_run(stream, 2048);
+  EXPECT_TRUE(base.got == stream);
+  std::size_t updates = 0;
+  for (const Drain& d : base.drains) updates += d.window_update ? 1 : 0;
+  EXPECT_GE(updates, 4u);  // the 4 KB buffer closed and reopened
+  EXPECT_GT(base.done_at, 0u);
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
+    const ChunkedRun run = chunked_read_run(stream, chunk);
+    EXPECT_TRUE(run.got == stream) << chunk;
+    EXPECT_TRUE(run.drains == base.drains) << chunk;
+    EXPECT_EQ(run.reader.acks_sent, base.reader.acks_sent) << chunk;
+    EXPECT_EQ(run.reader.segments_out, base.reader.segments_out) << chunk;
+    EXPECT_EQ(run.reader.segments_in, base.reader.segments_in) << chunk;
+    EXPECT_EQ(run.done_at, base.done_at) << chunk;
+  }
 }
 
 }  // namespace

@@ -265,7 +265,9 @@ std::vector<Record> execute(const Script& s, Poller poller, bool sliced) {
     cfg.policy = sp.policy;
     cfg.cost.quantum = sp.quantum;
     cfg.cost.context_switch = sp.context_switch;
-    w.nodes.push_back(&w.sim.add_node("n" + std::to_string(i), cfg));
+    std::string name = "n";
+    name += std::to_string(i);
+    w.nodes.push_back(&w.sim.add_node(std::move(name), cfg));
     w.mailbox.push_back(0);
     w.chans.push_back(std::make_unique<WaitChannel>());
   }
