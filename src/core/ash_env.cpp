@@ -1,6 +1,5 @@
 #include "core/ash_env.hpp"
 
-#include <bit>
 #include <cstring>
 
 #include "core/ash.hpp"
@@ -68,17 +67,9 @@ bool AshEnv::fast_mem(vcode::Env::FastMem* out) {
   out->msg_hi =
       clamp(static_cast<std::uint64_t>(cfg_.msg_addr) + cfg_.msg_len);
   // With a plain (unstriped) layout, mem_cycles is exactly one
-  // dcache().access() per access, so the engine may inline the model
-  // (shift/mask indexing: sim::Cache geometry is always a power of two).
-  const sim::Cache::Raw raw = cfg_.node->dcache().raw();
-  out->dtags = raw.tags;
-  out->dline_shift =
-      static_cast<std::uint32_t>(std::countr_zero(raw.line_bytes));
-  out->dline_mask = raw.n_lines - 1;
-  out->dread_miss_penalty = raw.read_miss_penalty;
-  out->dwrite_cost = raw.write_cost;
-  out->dhits = raw.hits;
-  out->dmisses = raw.misses;
+  // dcache().access() per access, so the engine may charge the model's
+  // state directly.
+  out->dcache = cfg_.node->dcache().raw();
   return out->mem != nullptr;
 }
 

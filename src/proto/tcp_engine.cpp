@@ -37,17 +37,20 @@ const TcpEngine::Tcb* TcpEngine::find(ConnId id) const noexcept {
   return it->second;
 }
 
+std::size_t TcpEngine::shard_for(const FlowKey& key) const {
+  if (shards_.size() <= 1) return 0;  // pick() would return 0 unhashed
+  return cfg_.steering.pick(flow_channel(cfg_.local_ip, key), nullptr,
+                            shards_.size());
+}
+
 TcpEngine::Tcb* TcpEngine::lookup(const FlowKey& key) noexcept {
-  const std::size_t shard = cfg_.steering.pick(
-      flow_channel(cfg_.local_ip, key), nullptr, shards_.size());
-  auto& map = shards_[shard];
+  auto& map = shards_[shard_for(key)];
   const auto it = map.find(key);
   return it == map.end() ? nullptr : it->second.get();
 }
 
 TcpEngine::Tcb& TcpEngine::create_tcb(const FlowKey& key, Callbacks cbs) {
-  const std::size_t shard = cfg_.steering.pick(
-      flow_channel(cfg_.local_ip, key), nullptr, shards_.size());
+  const std::size_t shard = shard_for(key);
   auto tcb = std::make_unique<Tcb>();
   Tcb& t = *tcb;
   t.id = next_id_++;

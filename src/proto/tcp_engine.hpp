@@ -235,15 +235,22 @@ class TcpEngine {
     bool dead = false;            // queued for destruction
   };
 
+  /// Bucket hash of a shard's table: one multiply-xorshift of the packed
+  /// key. The shard itself is chosen by flow_channel (shard_for).
   struct FlowHash {
     std::size_t operator()(const FlowKey& k) const noexcept {
-      return static_cast<std::size_t>(net::SteeringPolicy::flow_channel(
-          0, k.remote_ip.value, k.local_port, k.remote_port));
+      const std::uint64_t key =
+          (static_cast<std::uint64_t>(k.remote_ip.value) << 32) |
+          (static_cast<std::uint64_t>(k.local_port) << 16) | k.remote_port;
+      const std::uint64_t x = key * 0x9e3779b97f4a7c15ull;
+      return static_cast<std::size_t>(x ^ (x >> 32));
     }
   };
 
   Tcb* find(ConnId id) noexcept;
   const Tcb* find(ConnId id) const noexcept;
+  /// The table shard that owns `key`: the RX queue its segments steer to.
+  std::size_t shard_for(const FlowKey& key) const;
   Tcb* lookup(const FlowKey& key) noexcept;
   Tcb& create_tcb(const FlowKey& key, Callbacks cbs);
   void destroy_tcb(Tcb& t);      // deferred: marks dead, reaped per step

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "util/dcache.hpp"
 
 namespace ash::sim {
 
@@ -39,21 +40,22 @@ class Cache {
   /// beyond the instruction's base cost. Reads fill lines; writes are
   /// write-through/no-allocate (they update an already-present line but
   /// do not fetch absent ones).
-  Cycles access(std::uint32_t addr, std::uint32_t len, bool is_write);
+  Cycles access(std::uint32_t addr, std::uint32_t len, bool is_write) {
+    return util::dcache_access(raw(), addr, len, is_write);
+  }
 
-  /// Account a whole word loop over [src, src+len) and [dst, dst+len).
-  /// Exactly equivalent (cycles, counters, tags) to
+  /// Account a whole word loop over [src, src+len) and [dst, dst+len):
+  /// exactly (cycles, counters, tags) the per-word loop
   ///   for (off = 0; off < len; off += 4) {
   ///     n = min(4, len - off);
   ///     if (reads)  access(src + off, n, false);
   ///     if (writes) access(dst + off, n, true);
   ///   }
-  /// but charged once per run of words that keep both streams inside one
-  /// line: only a read miss fills, and it happens at the run's first word,
-  /// so the run's later reads hit; writes never change tags, so each later
-  /// write repeats the first write's outcome.
+  /// charged per line by util::dcache_words.
   Cycles words(std::uint32_t src, std::uint32_t dst, std::uint32_t len,
-               bool reads, bool writes);
+               bool reads, bool writes) {
+    return util::dcache_words(raw(), src, dst, len, reads, writes);
+  }
 
   /// True if the line containing `addr` is resident.
   bool contains(std::uint32_t addr) const;
@@ -74,29 +76,16 @@ class Cache {
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
 
-  /// Raw view of the model's state for engines that inline the access
-  /// accounting (vcode::Env::FastMem). Any inlined copy must reproduce
-  /// access() exactly: read miss = penalty + tag fill; write = write_cost,
-  /// hit or miss, never a fill; counters bumped per line touched.
-  struct Raw {
-    std::uint32_t* tags;
-    std::uint32_t n_lines;
-    std::uint32_t line_bytes;
-    Cycles read_miss_penalty;
-    Cycles write_cost;
-    std::uint64_t* hits;
-    std::uint64_t* misses;
-  };
-  Raw raw() noexcept {
-    return {tags_.data(),          n_lines_, config_.line_bytes,
-            config_.read_miss_penalty, config_.write_cost,
-            &hits_,                &misses_};
+  /// Raw view of the model's state for engines that charge memory
+  /// traffic inline (vcode::Env::FastMem). Valid while the cache lives;
+  /// every charge made through it goes through util::dcache_access or
+  /// util::dcache_words, as this class's own do.
+  util::DcacheView raw() noexcept {
+    return {tags_.data(), line_shift_, index_mask_, config_.read_miss_penalty,
+            config_.write_cost, &hits_, &misses_};
   }
 
  private:
-  /// One access to the single line `line`; `*hit` reports its outcome.
-  Cycles line_access(std::uint32_t line, bool is_write, bool* hit) noexcept;
-
   CacheConfig config_;
   std::uint32_t n_lines_;
   std::uint32_t line_shift_;  // log2(line_bytes)

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/dcache.hpp"
 #include "vcode/program.hpp"
 
 namespace ash::vcode {
@@ -97,27 +98,22 @@ class Env {
   ///   * an accepted access touches host bytes mem[addr - mem_base ...],
   ///     little-endian, exactly as mem_read/mem_write would;
   ///   * windows are already clamped to backing storage.
-  /// mem_cycles is still consulted per access, so simulated time and the
-  /// cache model are unchanged. Return false (the default) when the access
-  /// rules are not expressible as two windows (striped messages, custom
-  /// environments); engines then use mem_read/mem_write.
+  /// Memory is still charged as per-access calls to mem_cycles would
+  /// charge it (directly, or through the offered cache view), so
+  /// simulated time and the cache model are unchanged. Return false (the
+  /// default) when the access rules are not expressible as two windows
+  /// (striped messages, custom environments); engines then use
+  /// mem_read/mem_write.
   struct FastMem {
     std::uint8_t* mem = nullptr;   // host pointer for simulated mem_base
     std::uint32_t mem_base = 0;    // simulated address of mem[0]
     std::uint32_t owner_lo = 0, owner_hi = 0;  // readable + writable [lo,hi)
     std::uint32_t msg_lo = 0, msg_hi = 0;      // readable [lo,hi)
-    // Optional inlined cycle accounting: a raw view of a direct-mapped
-    // write-through/no-allocate cache model with power-of-two geometry
-    // (sim::Cache::Raw semantics). When dtags is null — or the provider
-    // cannot guarantee mem_cycles is exactly that model for every accepted
-    // access — engines charge through mem_cycles instead.
-    std::uint32_t* dtags = nullptr;
-    std::uint32_t dline_shift = 0;   // log2(line_bytes)
-    std::uint32_t dline_mask = 0;    // n_lines - 1
-    std::uint64_t dread_miss_penalty = 0;
-    std::uint64_t dwrite_cost = 0;
-    std::uint64_t* dhits = nullptr;
-    std::uint64_t* dmisses = nullptr;
+    // Optional inlined cycle accounting: the state of the cache model
+    // behind mem_cycles. When dcache.tags is null — or the provider cannot
+    // guarantee mem_cycles is exactly util::dcache_access on that state
+    // for every accepted access — engines charge through mem_cycles.
+    util::DcacheView dcache;
   };
   virtual bool fast_mem(FastMem* out);
 

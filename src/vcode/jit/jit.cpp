@@ -7,6 +7,7 @@
 #include "trace/trace.hpp"
 #include "util/byteorder.hpp"
 #include "util/checksum.hpp"
+#include "util/dcache.hpp"
 #include "vcode/opcodes.hpp"
 
 namespace ash::vcode {
@@ -65,38 +66,11 @@ inline bool in_window(std::uint32_t addr, std::uint32_t len, std::uint32_t lo,
   return addr >= lo && addr < hi && hi - addr >= len;
 }
 
-/// Inlined direct-mapped cache model (sim::Cache::access semantics),
-/// bit-identical to the interpreter's mem_cycles path: read miss =
-/// penalty + tag fill; write = write_cost hit or miss, never a fill;
-/// counters per line.
-inline std::uint64_t fm_cycles(const Env::FastMem& fm, std::uint32_t addr,
-                               std::uint32_t len, bool is_write) {
-  std::uint64_t extra = 0;
-  const std::uint32_t first = addr >> fm.dline_shift;
-  const std::uint32_t last = (addr + (len - 1)) >> fm.dline_shift;
-  for (std::uint32_t line = first; line <= last; ++line) {
-    const std::uint32_t idx = line & fm.dline_mask;
-    const std::uint32_t tag = line + 1;
-    if (fm.dtags[idx] == tag) {
-      ++*fm.dhits;
-      if (is_write) extra += fm.dwrite_cost;
-      continue;
-    }
-    ++*fm.dmisses;
-    if (is_write) {
-      extra += fm.dwrite_cost;
-      continue;
-    }
-    extra += fm.dread_miss_penalty;
-    fm.dtags[idx] = tag;
-  }
-  return extra;
-}
-
 inline std::uint64_t mem_dyn(RunCtx& c, std::uint32_t addr, std::uint32_t len,
                              bool is_write) {
-  return c.fm.dtags != nullptr ? fm_cycles(c.fm, addr, len, is_write)
-                               : c.env->mem_cycles(addr, len, is_write);
+  return c.fm.dcache.tags != nullptr
+             ? util::dcache_access(c.fm.dcache, addr, len, is_write)
+             : c.env->mem_cycles(addr, len, is_write);
 }
 
 /// Finalize the exact counters at op `t` and set a final outcome.
@@ -580,8 +554,8 @@ x_FusedLoop: {
   const LoopInfo& L = loops[t->imm];
   const std::uint32_t lenb = regs[L.r_len];
   if (lenb == 0 || (lenb & 3) != 0) NEXT();
-  std::uint32_t src = regs[L.r_src];
-  std::uint32_t dst = regs[L.r_dst];
+  const std::uint32_t src = regs[L.r_src];
+  const std::uint32_t dst = regs[L.r_dst];
   if (!in_window(src, lenb, c.fm.owner_lo, c.fm.owner_hi) &&
       !in_window(src, lenb, c.fm.msg_lo, c.fm.msg_hi)) {
     NEXT();
@@ -595,23 +569,47 @@ x_FusedLoop: {
   if (k_max == 0) NEXT();
   const std::uint64_t iters = lenb / 4u;
   const std::uint64_t k = iters < k_max ? iters : k_max;
+  const auto bytes = static_cast<std::uint32_t>(k * 4);
+  // The cache model sees the loop's read/write word pairs in order;
+  // charging them does not depend on the data, so it is done first.
   std::uint64_t dyn = 0;
-  for (std::uint64_t i = 0; i < k; ++i) {
-    std::uint32_t w;
-    std::memcpy(&w, c.fm.mem + (src - c.fm.mem_base), 4);
-    dyn += mem_dyn(c, src, 4, /*is_write=*/false);
-    regs[L.load_reg] = w;
-    regs[kRegZero] = 0;
-    apply_body(L, regs);
-    const std::uint32_t v = regs[L.store_reg];
-    std::memcpy(c.fm.mem + (dst - c.fm.mem_base), &v, 4);
-    dyn += mem_dyn(c, dst, 4, /*is_write=*/true);
-    src += 4;
-    dst += 4;
+  if (c.fm.dcache.tags != nullptr) {
+    dyn = util::dcache_words(c.fm.dcache, src, dst, bytes, /*reads=*/true,
+                             /*writes=*/true);
+  } else {
+    for (std::uint32_t off = 0; off < bytes; off += 4) {
+      dyn += c.env->mem_cycles(src + off, 4, /*is_write=*/false);
+      dyn += c.env->mem_cycles(dst + off, 4, /*is_write=*/true);
+    }
   }
-  regs[L.r_src] = src;
-  regs[L.r_dst] = dst;
-  regs[L.r_len] = lenb - static_cast<std::uint32_t>(k * 4);
+  std::uint8_t* const from = c.fm.mem + (src - c.fm.mem_base);
+  std::uint8_t* const to = c.fm.mem + (dst - c.fm.mem_base);
+  const bool disjoint =
+      static_cast<std::uint64_t>(src) + bytes <= dst ||
+      static_cast<std::uint64_t>(dst) + bytes <= src;
+  if (L.cksum_acc != kRegZero && (src == dst || disjoint)) {
+    // The checksum pipe alone: every word is read before any store can
+    // reach it, so the pass is one wide sum and one copy.
+    regs[L.cksum_acc] =
+        util::cksum32_accumulate_words(regs[L.cksum_acc], {from, bytes});
+    std::memcpy(&regs[L.load_reg], from + (bytes - 4), 4);
+    if (from != to) std::memcpy(to, from, bytes);
+  } else {
+    // General bodies run word by word, so a store into a later source
+    // word is seen by that word's load, as in the interpreter.
+    for (std::uint32_t off = 0; off < bytes; off += 4) {
+      std::uint32_t w;
+      std::memcpy(&w, from + off, 4);
+      regs[L.load_reg] = w;
+      regs[kRegZero] = 0;
+      apply_body(L, regs);
+      const std::uint32_t v = regs[L.store_reg];
+      std::memcpy(to + off, &v, 4);
+    }
+  }
+  regs[L.r_src] = src + bytes;
+  regs[L.r_dst] = dst + bytes;
+  regs[L.r_len] = lenb - bytes;
   c.res.insns += k * L.len;
   c.res.cycles += k * L.cyc_iter + dyn;
   if (k == iters) JUMP(L.fall_target);  // last Bne falls through
@@ -731,6 +729,12 @@ bool match_fused_loop(const Program& prog, std::uint32_t s, std::uint32_t e,
   out->r_len = r_len;
   out->load_reg = ld.a;
   out->store_reg = st.a;
+  out->cksum_acc = kRegZero;
+  if (body.size() == 1 && body[0].op == Op::Cksum32 &&
+      body[0].b == ld.a && body[0].a != ld.a && st.a == ld.a &&
+      ld.a != kRegZero) {
+    out->cksum_acc = body[0].a;
+  }
   out->body = std::move(body);
   return true;
 }
@@ -1169,6 +1173,11 @@ std::string JitBackend::dump() const {
                         "src=r%u dst=r%u len=r%u\n",
                         l.len, l.body.size(), l.r_src, l.r_dst, l.r_len);
           out += line;
+          if (l.cksum_acc != kRegZero) {
+            std::snprintf(line, sizeof line, "  cksum-bulk: acc=r%u\n",
+                          l.cksum_acc);
+            out += line;
+          }
           break;
         }
         case XOp::Guard:

@@ -21,8 +21,9 @@
 //   - fused DILP pipe chains: a superblock matching the dilp::Compiler
 //     word-loop skeleton (load, register-pure pipe bodies, store, pointer
 //     bumps, back-edge) is additionally lowered to a native single-pass
-//     loop over the message that preserves the exact per-word cache-model
-//     charging and budget semantics.
+//     loop over the message, charged to the cache model by one
+//     util::dcache_words call with the per-word loop's exact outcome and
+//     the same budget semantics.
 //
 // Equivalence guarantee: every simulated observable (outcome, insns,
 // cycles, result, abort_code, fault_pc, final registers, final memory,
@@ -144,6 +145,10 @@ class JitBackend {
     std::uint32_t cyc_iter = 0;      // static cycles per iteration
     std::uint8_t r_src = 0, r_dst = 0, r_len = 0;
     std::uint8_t load_reg = 0, store_reg = 0;
+    // Nonzero when the body is the checksum pipe alone (Cksum32
+    // cksum_acc, load_reg; store_reg == load_reg): the pass may then
+    // fold the words with one wide sum.
+    std::uint8_t cksum_acc = 0;
     std::uint32_t fall_target = 0;   // emitted index of the exit guard
     std::vector<BodyOp> body;
   };

@@ -5,6 +5,7 @@
 // uniform BackendStats surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "dilp/engine.hpp"
 #include "dilp/pipe.hpp"
 #include "dilp/stdpipes.hpp"
+#include "sim/cache.hpp"
 #include "util/byteorder.hpp"
 #include "util/checksum.hpp"
 #include "util/rng.hpp"
@@ -393,6 +395,124 @@ TEST(JitFusedLoop, StripedLayoutFallsBackToGenericSuperblocks) {
   EXPECT_EQ(ri.exec.cycles, rj.exec.cycles);
   EXPECT_EQ(ri.exec.insns, rj.exec.insns);
   EXPECT_EQ(env_i.memory(), env_j.memory());
+}
+
+/// FlatEnv charged to a real D-cache model, paired as core::AshEnv pairs
+/// them: mem_cycles is Cache::access, and the fast-mem window offers the
+/// same cache's raw view, so the JIT charges the model's state directly.
+class CachedEnv : public FlatEnv {
+ public:
+  explicit CachedEnv(const sim::CacheConfig& cfg) : cache_(cfg) {}
+
+  sim::Cache& cache() { return cache_; }
+
+  std::uint64_t mem_cycles(std::uint32_t addr, std::uint32_t len,
+                           bool is_write) override {
+    return cache_.access(addr, len, is_write);
+  }
+  bool fast_mem(FastMem* out) override {
+    if (!FlatEnv::fast_mem(out)) return false;
+    out->dcache = cache_.raw();
+    return true;
+  }
+
+ private:
+  sim::Cache cache_;
+};
+
+TEST(JitFusedLoopDcache, MatchesInterpreterOnEveryRangeShape) {
+  // The fused loop charges its k iterations with one dcache_words call,
+  // and the checksum pipe alone folds its words in bulk. Both must leave
+  // exactly what the interpreter's per-word loop leaves: outcome, insns,
+  // cycles, registers (persistents included), memory, hit and miss
+  // counts and every tag. A 1 KB cache of 16 B lines (64 lines) keeps
+  // same-index pairs and transfers longer than the cache in reach.
+  const sim::CacheConfig cfg{.size_bytes = 1024, .line_bytes = 16,
+                             .read_miss_penalty = 12, .write_cost = 1};
+  struct Shape {
+    const char* name;
+    std::uint32_t src, dst, len;
+  };
+  const Shape shapes[] = {
+      {"disjoint", kBase + 0x100, kBase + 0x2000, 0x800},
+      {"identical", kBase + 0x400, kBase + 0x400, 0x200},
+      {"overlapping", kBase + 0x400, kBase + 0x404, 0x200},
+      {"same-index", kBase + 0x100, kBase + 0x100 + 1024, 0x100},
+      {"unaligned", kBase + 0x103, kBase + 0x2001, 0x100},
+  };
+  for (const bool fig1 : {false, true}) {
+    dilp::Engine engine;
+    dilp::PipeList pl;
+    pl.add(dilp::make_cksum_pipe(nullptr));
+    if (fig1) pl.add(dilp::make_byteswap_pipe());
+    std::string error;
+    const int id = engine.register_ilp(pl, dilp::Direction::Write, &error);
+    ASSERT_GE(id, 0) << error;
+    const dilp::CompiledIlp& ilp = *engine.get(id);
+    ASSERT_EQ(ilp.persistents.size(), 1u);
+    const JitBackend& jit = *engine.jit_backend(id);
+    ASSERT_EQ(jit.fused_loop_count(), 1u);
+    // Only the checksum pipe alone takes the bulk fold.
+    EXPECT_EQ(jit.dump().find("cksum-bulk") != std::string::npos, !fig1);
+
+    for (const Shape& sh : shapes) {
+      // Unclipped, then with the instruction backstop clipping the native
+      // pass at several points (it hands off mid-transfer).
+      const std::uint64_t full = 8 + (sh.len / 4) * ilp.insns_per_word;
+      for (const std::uint64_t max_insns :
+           {full + 64, full / 2, full / 3 + 5, std::uint64_t{40}}) {
+        const std::string tag = std::string(fig1 ? "fig1 " : "cksum ") +
+                                sh.name + " max_insns=" +
+                                std::to_string(max_insns);
+        std::array<std::uint32_t, kNumRegs> seeds{};
+        seeds[kRegArg0] = sh.src;
+        seeds[kRegArg1] = sh.dst;
+        seeds[kRegArg2] = sh.len;
+        seeds[ilp.persistents[0].loop_reg] = 0xfffffff0u;
+        ExecLimits lim;
+        lim.max_insns = max_insns;
+
+        // Identical partly warm caches: some source and destination lines
+        // resident, and a line on the source's indices with another tag.
+        CachedEnv env_i(cfg), env_j(cfg);
+        for (CachedEnv* e : {&env_i, &env_j}) {
+          e->cache().touch_range(sh.src + 0x40, 0x80);
+          e->cache().touch_range(sh.dst & ~15u, 0x30);
+          e->cache().touch_range(sh.src + 2 * 1024 + 0xc0, 0x20);
+        }
+
+        Interpreter interp(ilp.loop, env_i);
+        for (std::uint32_t r = 1; r < kNumRegs; ++r) {
+          interp.set_reg(static_cast<Reg>(r), seeds[r]);
+        }
+        const ExecResult a = interp.run(lim);
+        std::array<std::uint32_t, kNumRegs> regs = seeds;
+        const ExecResult j = jit.run(env_j, regs, lim);
+
+        EXPECT_EQ(static_cast<int>(a.outcome), static_cast<int>(j.outcome))
+            << tag;
+        EXPECT_EQ(a.insns, j.insns) << tag;
+        EXPECT_EQ(a.cycles, j.cycles) << tag;
+        for (std::uint32_t r = 0; r < kNumRegs; ++r) {
+          EXPECT_EQ(interp.reg(static_cast<Reg>(r)), regs[r])
+              << tag << " r" << r;
+        }
+        EXPECT_EQ(env_i.memory(), env_j.memory()) << tag;
+        sim::Cache& ci = env_i.cache();
+        sim::Cache& cj = env_j.cache();
+        EXPECT_EQ(ci.hits(), cj.hits()) << tag;
+        EXPECT_EQ(ci.misses(), cj.misses()) << tag;
+        if (max_insns > full) {  // the whole pass both hits and misses
+          EXPECT_GT(cj.hits(), 0u) << tag;
+          EXPECT_GT(cj.misses(), 0u) << tag;
+        }
+        const util::DcacheView ti = ci.raw();
+        const util::DcacheView tj = cj.raw();
+        EXPECT_TRUE(std::equal(ti.tags, ti.tags + ti.n_lines(), tj.tags))
+            << tag;
+      }
+    }
+  }
 }
 
 TEST(JitStats, UniformBackendStatsSurface) {
